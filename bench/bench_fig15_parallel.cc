@@ -56,6 +56,7 @@ int Run(int argc, char** argv) {
             opts.parallel_strategy = strategy;
             ParallelMatchResult r = ParallelDafMatch(q, data, opts, threads);
             if (!r.ok || r.timed_out) continue;
+            FillOneWorkerSplit(&r);
             ++solved;
             total_ms += r.preprocess_ms + r.search_ms;
             total_calls += r.recursive_calls;

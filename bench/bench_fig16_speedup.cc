@@ -166,6 +166,7 @@ int Run(int argc, char** argv) {
           opts.pin_workers = true;
           ParallelMatchResult r = ParallelDafMatch(q, data, opts, threads);
           if (!r.ok || r.timed_out) continue;
+          FillOneWorkerSplit(&r);
           ++solved;
           total_ms += r.preprocess_ms + r.search_ms;
           total_calls += r.recursive_calls;
@@ -218,6 +219,7 @@ int Run(int argc, char** argv) {
       ParallelMatchResult r =
           ParallelDafMatch(skew_query, skew_data, opts, threads);
       if (!r.ok || r.timed_out) continue;
+      FillOneWorkerSplit(&r);
       uint64_t max_thread_calls = 0;
       uint64_t min_thread_calls = ~0ull;
       for (uint64_t c : r.per_thread_calls) {

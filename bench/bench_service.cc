@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "daf/engine.h"
 #include "graph/canonical.h"
 #include "obs/json.h"
@@ -57,37 +58,9 @@
 namespace daf {
 namespace {
 
-struct LatencySummary {
-  double p50 = 0, p95 = 0, p99 = 0, max = 0, mean = 0;
-};
-
-LatencySummary Summarize(std::vector<double> samples) {
-  LatencySummary s;
-  if (samples.empty()) return s;
-  std::sort(samples.begin(), samples.end());
-  auto at = [&](double q) {
-    size_t i = static_cast<size_t>(q * static_cast<double>(samples.size()));
-    return samples[std::min(i, samples.size() - 1)];
-  };
-  s.p50 = at(0.50);
-  s.p95 = at(0.95);
-  s.p99 = at(0.99);
-  s.max = samples.back();
-  double sum = 0;
-  for (double v : samples) sum += v;
-  s.mean = sum / static_cast<double>(samples.size());
-  return s;
-}
-
-void WriteLatency(obs::JsonWriter& w, const LatencySummary& s) {
-  w.BeginObject()
-      .Key("p50_ms").Double(s.p50)
-      .Key("p95_ms").Double(s.p95)
-      .Key("p99_ms").Double(s.p99)
-      .Key("max_ms").Double(s.max)
-      .Key("mean_ms").Double(s.mean)
-      .EndObject();
-}
+using bench::LatencySummary;
+using bench::Summarize;
+using bench::WriteLatency;
 
 // Measures cancel latency against a dedicated tiny service over a dense
 // clique graph: a 7-clique query in a 32-clique has ~10^10 embeddings, so

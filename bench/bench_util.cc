@@ -247,6 +247,40 @@ Algorithm MakeBaselineAlgorithm(const std::string& name, const Graph& data,
       }};
 }
 
+void FillOneWorkerSplit(ParallelMatchResult* r) {
+  if (r->threads_used != 1) return;
+  r->per_thread_calls = {r->recursive_calls};
+  r->call_imbalance = r->recursive_calls > 0 ? 1.0 : 0.0;
+}
+
+LatencySummary Summarize(std::vector<double> samples) {
+  LatencySummary s;
+  if (samples.empty()) return s;
+  std::sort(samples.begin(), samples.end());
+  auto at = [&](double q) {
+    size_t i = static_cast<size_t>(q * static_cast<double>(samples.size()));
+    return samples[std::min(i, samples.size() - 1)];
+  };
+  s.p50 = at(0.50);
+  s.p95 = at(0.95);
+  s.p99 = at(0.99);
+  s.max = samples.back();
+  double sum = 0;
+  for (double v : samples) sum += v;
+  s.mean = sum / static_cast<double>(samples.size());
+  return s;
+}
+
+void WriteLatency(obs::JsonWriter& w, const LatencySummary& s) {
+  w.BeginObject()
+      .Key("p50_ms").Double(s.p50)
+      .Key("p95_ms").Double(s.p95)
+      .Key("p99_ms").Double(s.p99)
+      .Key("max_ms").Double(s.max)
+      .Key("mean_ms").Double(s.mean)
+      .EndObject();
+}
+
 void PrintTableHeader(const std::string& title,
                       const std::vector<std::string>& columns) {
   std::printf("\n== %s ==\n", title.c_str());

@@ -7,7 +7,9 @@
 #include <vector>
 
 #include "daf/engine.h"
+#include "daf/parallel.h"
 #include "graph/graph.h"
+#include "obs/json.h"
 #include "util/flags.h"
 #include "workload/datasets.h"
 #include "workload/querygen.h"
@@ -103,6 +105,22 @@ Algorithm MakeDafAlgorithm(const std::string& name, const Graph& data,
                            const CommonFlags& flags);
 Algorithm MakeBaselineAlgorithm(const std::string& name, const Graph& data,
                                 const CommonFlags& flags);  // by name
+
+/// A one-thread ParallelDafMatch run is DafMatch and reports no per-worker
+/// split; fills in the trivial one (its thread made every call) so the
+/// parallel tables treat every thread count alike.
+void FillOneWorkerSplit(ParallelMatchResult* r);
+
+/// Order statistics of a latency sample, in milliseconds.
+struct LatencySummary {
+  double p50 = 0, p95 = 0, p99 = 0, max = 0, mean = 0;
+};
+
+/// Summarizes `samples` (all zero when empty).
+LatencySummary Summarize(std::vector<double> samples);
+
+/// Writes `s` as {"p50_ms", "p95_ms", "p99_ms", "max_ms", "mean_ms"}.
+void WriteLatency(obs::JsonWriter& w, const LatencySummary& s);
 
 /// Table printing: column headers then one row per (query set, summary).
 void PrintTableHeader(const std::string& title,

@@ -39,40 +39,6 @@ EmbeddingCursor::EmbeddingCursor(const Graph& query, const Graph& data,
   });
 }
 
-EmbeddingCursor::EmbeddingCursor(std::shared_ptr<const PreparedQuery> prepared,
-                                 const Graph& data,
-                                 const MatchOptions& options,
-                                 MatchContext* context)
-    : channel_(std::make_shared<Channel>()) {
-  assert(!options.callback && "the cursor owns the embedding callback");
-  std::shared_ptr<Channel> channel = channel_;
-  MatchOptions producer_options = options;
-  producer_options.callback = [channel](std::span<const VertexId> embedding) {
-    std::unique_lock<std::mutex> lock(channel->mutex);
-    channel->can_produce.wait(lock, [&] {
-      return channel->closed || channel->buffer.size() < Channel::kCapacity;
-    });
-    if (channel->closed) return false;  // consumer abandoned the cursor
-    channel->buffer.emplace_back(embedding.begin(), embedding.end());
-    channel->can_consume.notify_one();
-    return true;
-  };
-  // The blob is captured by shared_ptr (keeping a cache-evicted entry alive
-  // for the whole stream); `data` and `context` follow the usual
-  // outlive-the-cursor contract.
-  producer_ = std::thread([this, prepared = std::move(prepared), &data,
-                           producer_options, channel, context] {
-    MatchResult result =
-        DafMatchPrepared(*prepared, data, producer_options, context);
-    {
-      std::lock_guard<std::mutex> lock(channel->mutex);
-      channel->finished = true;
-      channel->can_consume.notify_all();
-    }
-    result_ = std::move(result);
-  });
-}
-
 EmbeddingCursor::~EmbeddingCursor() {
   Close();
   if (producer_.joinable()) producer_.join();

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "daf/engine.h"
-#include "daf/prepared.h"
 #include "graph/graph.h"
 
 namespace daf {
@@ -47,16 +46,6 @@ class EmbeddingCursor {
   /// *sequential* cursors keeps enumeration allocation-free once warm.
   EmbeddingCursor(const Graph& query, const Graph& data,
                   const MatchOptions& options = {},
-                  MatchContext* context = nullptr);
-
-  /// Streams embeddings from a prebuilt PreparedQuery (the cache-hit path):
-  /// the producer runs DafMatchPrepared, skipping all preprocessing. The
-  /// shared_ptr keeps the blob alive for the producer's lifetime even if
-  /// the cache evicts the entry mid-stream. Embeddings come out in the
-  /// *prepared* (canonical) query's vertex order; callers matching a
-  /// relabeled isomorph remap through their permutation.
-  EmbeddingCursor(std::shared_ptr<const PreparedQuery> prepared,
-                  const Graph& data, const MatchOptions& options = {},
                   MatchContext* context = nullptr);
 
   /// Stops the underlying search if still running.

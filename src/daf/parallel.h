@@ -8,7 +8,10 @@
 
 namespace daf {
 
-/// Extra counters reported by the parallel engine.
+/// Extra counters reported by the parallel engine. A one-thread run is
+/// DafMatch itself: it sets `threads_used` and leaves the per-thread and
+/// scheduler diagnostics below empty (its one thread made all
+/// `recursive_calls`).
 struct ParallelMatchResult : MatchResult {
   uint32_t threads_used = 0;
   /// Recursive calls performed by each thread (load-balance diagnostics).
@@ -43,13 +46,16 @@ struct ParallelMatchResult : MatchResult {
 /// min(limit, total embeddings) — identical to a single-threaded run — while
 /// the *set* of embeddings found under a limit may differ across runs.
 /// Without a limit the full embedding set is always produced.
+/// `num_threads` 0 counts as 1; one thread runs exactly DafMatch (inline
+/// on the caller's thread, no worker, lock or shared counter).
 ///
-/// `options.callback` and `options.progress` are invoked under a mutex when
-/// set. When `options.profile` is set, each worker fills its own
-/// obs::BacktrackProfile; the merged aggregate lands in `profile->backtrack`
-/// and the per-worker breakdowns in `profile->thread_profiles` (the merge
-/// equals the element-wise sum of the per-thread profiles, with peak depth
-/// taken as the max).
+/// With more than one thread, `options.callback` and `options.progress`
+/// are invoked under a mutex when set. When `options.profile` is set, each
+/// worker fills its own obs::BacktrackProfile; the merged aggregate lands
+/// in `profile->backtrack`, the per-worker breakdowns in
+/// `profile->thread_profiles` (the merge equals the element-wise sum of
+/// the per-thread profiles, with peak depth taken as the max), and
+/// `profile->threads` and `profile->parallel` describe the split.
 ///
 /// `context` (optional) carries the arena for the shared flat CS/weight
 /// arrays and one BacktrackScratch per worker; reusing it across calls

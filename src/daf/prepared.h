@@ -21,8 +21,9 @@ namespace daf {
 /// this is the artifact the service-level query cache stores and leases.
 ///
 /// Build once with PrepareQuery, then run any number of searches with
-/// DafMatchPrepared / ParallelDafMatchPrepared, each skipping BuildDAG, CS
-/// construction, and the weight pass entirely.
+/// DafMatchPrepared, each skipping BuildDAG, CS construction, and the
+/// weight pass entirely. (DafMatch builds the same prefix internally, with
+/// the CS and weights in its context arena and `query` left empty.)
 struct PreparedQuery {
   /// The query graph the structures below were built for. Searches run
   /// against *this* graph; callers matching a relabeled isomorph must remap
@@ -67,25 +68,21 @@ PrepareOutcome PrepareQuery(const Graph& query, const Graph& data,
                             const MatchOptions& options);
 
 /// Runs the DAF search against a prebuilt PreparedQuery, skipping all
-/// preprocessing: semantically identical to DafMatch(prepared.query, data,
-/// options, context) — same embedding set, same counters — with
-/// preprocess_ms ~ 0. The prepared blob is only read, so any number of
-/// concurrent calls may share one blob; each call still needs its own
-/// `context` (or nullptr for a private one). `options` must agree with the
-/// blob's CS fingerprint for the results to mean anything; the service's
-/// cache keys on that fingerprint.
-MatchResult DafMatchPrepared(const PreparedQuery& prepared, const Graph& data,
-                             const MatchOptions& options,
-                             MatchContext* context = nullptr);
-
-/// Parallel counterpart of DafMatchPrepared: the work-stealing (or
-/// root-cursor) engine over a shared prebuilt CS. Mirrors ParallelDafMatch
-/// minus the preprocessing stages.
-ParallelMatchResult ParallelDafMatchPrepared(const PreparedQuery& prepared,
-                                             const Graph& data,
-                                             const MatchOptions& options,
-                                             uint32_t num_threads,
-                                             MatchContext* context = nullptr);
+/// preprocessing: semantically identical to ParallelDafMatch(prepared.query,
+/// data, options, threads, context) — same embedding set, same counters —
+/// with preprocess_ms ~ 0. `threads == 1` (the default) searches inline on
+/// the caller's thread like DafMatch; more threads run the work-stealing
+/// (or root-cursor) engine over the shared blob. The blob is only read, so
+/// any number of concurrent calls may share it; each call still needs its
+/// own `context` (or nullptr for a private one), whose arena it leaves
+/// untouched. `options` must agree with the blob's CS fingerprint
+/// (refinement_steps, nlf/mnd filters, injective): on a mismatch nothing
+/// runs and the result is ok == false with an error naming the field.
+ParallelMatchResult DafMatchPrepared(const PreparedQuery& prepared,
+                                     const Graph& data,
+                                     const MatchOptions& options,
+                                     uint32_t threads = 1,
+                                     MatchContext* context = nullptr);
 
 }  // namespace daf
 

@@ -16,7 +16,8 @@ namespace daf::service {
 ///
 /// Thread safety: Status/Wait/Cancel/result may be called from any thread;
 /// the streaming side (NextBatch/TryNextBatch/CloseStream) is
-/// single-consumer, like EmbeddingCursor.
+/// single-consumer. A streamed job's search runs on the service worker,
+/// which blocks while the handle's buffer is full.
 class JobHandle {
  public:
   /// An empty handle (valid() false); Submit never returns one.
@@ -58,8 +59,8 @@ class JobHandle {
   std::vector<std::vector<VertexId>> TryNextBatch(size_t max = 256);
 
   /// Abandons the stream: buffered embeddings are dropped and the search
-  /// stops early (reported as `limit_reached`, like EmbeddingCursor's
-  /// Close). The job still resolves and its result stays readable.
+  /// stops at its next embedding (reported as `limit_reached`). The job
+  /// still resolves and its result stays readable.
   void CloseStream();
 
   /// Blocks until terminal, then the final MatchResult. On kCancelled /

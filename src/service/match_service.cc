@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <span>
 #include <utility>
 
 #include <chrono>
 
-#include "daf/cursor.h"
 #include "daf/parallel.h"
 #include "daf/prepared.h"
 #include "graph/properties.h"
@@ -257,8 +257,7 @@ void MatchService::ProcessJob(const internal::JobStatePtr& job) {
   job->status.store(JobStatus::kRunning, std::memory_order_release);
 
   // Per-job ledger under the service-global one. Stack-local is safe: the
-  // engine detaches the arena before returning, and the streaming cursor's
-  // producer thread is joined by Finish() inside the block below.
+  // engine detaches the arena before returning.
   MemoryBudget budget(job->memory_limit, &global_budget_);
   opts.memory_budget = &budget;
 
@@ -271,75 +270,50 @@ void MatchService::ProcessJob(const internal::JobStatePtr& job) {
 
   Stopwatch run_timer;
   uint64_t streamed = 0;
-  bool ran_parallel = false;
+  // Latency-critical jobs spend intra-query threads; limits, deadline and
+  // cancellation keep exact single-thread semantics through the shared
+  // counter and the StopCondition each worker polls.
+  const bool parallel = !job->stream && options_.intra_query_threads > 1 &&
+                        job->priority == Priority::kInteractive;
   MatchResult result;
   {
     ContextPool::Lease lease = contexts_.Acquire();
-    const bool parallel = !job->stream && options_.intra_query_threads > 1 &&
-                          job->priority == Priority::kInteractive;
 
     // Cross-query cache: resolve the canonical pattern first. A hit (or a
     // miss, which built and published the blob) runs the prepared engine
-    // against the canonical query and remaps streamed embeddings back; a
-    // null lease (bypass, uncacheable query, interrupted or coalesced-
-    // failed build) falls through to the ordinary cold path, whose own
-    // StopCondition re-reports any cancel/deadline/budget that interrupted
-    // the build.
+    // against the canonical query; a null lease (bypass, uncacheable query,
+    // interrupted or coalesced-failed build) falls through to the cold
+    // engine, whose own StopCondition re-reports any cancel/deadline/budget
+    // that interrupted the build.
     QueryCache::Lease cached;
     if (cache_ != nullptr && !job->bypass_cache) {
       cached = cache_->Acquire(job->query, data, opts, graph_version);
       job->cache_outcome = cached.outcome;
     }
 
-    if (cached.prepared != nullptr) {
-      if (parallel) {
-        result = ParallelDafMatchPrepared(*cached.prepared, data, opts,
-                                          options_.intra_query_threads,
-                                          lease.get());
-        ran_parallel = true;
-      } else if (job->stream) {
-        // The producer enumerates the *canonical* query; remap each
-        // embedding through the stored permutation before delivery so the
-        // consumer sees the submitted vertex numbering.
-        EmbeddingCursor cursor(cached.prepared, data, opts, lease.get());
-        const std::vector<VertexId>& to_canonical = cached.form.to_canonical;
-        while (auto embedding = cursor.Next()) {
-          std::vector<VertexId> remapped(embedding->size());
-          for (size_t u = 0; u < remapped.size(); ++u) {
-            remapped[u] = (*embedding)[to_canonical[u]];
-          }
-          if (!DeliverEmbedding(job, std::move(remapped))) {
-            cursor.Close();
-            break;
-          }
-          ++streamed;
+    if (job->stream) {
+      // The search runs on this worker and hands each embedding to the
+      // handle's buffer, blocking on backpressure. A prepared run
+      // enumerates the *canonical* query, so its embeddings are remapped
+      // through the stored permutation to the submitted vertex numbering.
+      const std::vector<VertexId>* to_canonical =
+          cached.prepared != nullptr ? &cached.form.to_canonical : nullptr;
+      opts.callback = [&, to_canonical](std::span<const VertexId> embedding) {
+        std::vector<VertexId> out(embedding.size());
+        for (size_t u = 0; u < out.size(); ++u) {
+          out[u] = embedding[to_canonical != nullptr ? (*to_canonical)[u] : u];
         }
-        result = cursor.Finish();
-      } else {
-        result = DafMatchPrepared(*cached.prepared, data, opts, lease.get());
-      }
-    } else if (parallel) {
-      // Latency-critical job: spend intra-query threads on it. Limits,
-      // deadline, and cancellation keep exact single-thread semantics
-      // through the shared counter and the StopCondition each worker polls.
-      result = ParallelDafMatch(job->query, data, opts,
-                                options_.intra_query_threads, lease.get());
-      ran_parallel = true;
-    } else if (job->stream) {
-      // The cursor runs the search on its producer thread inside the
-      // pooled context; this worker pumps embeddings into the handle's
-      // buffer under backpressure.
-      EmbeddingCursor cursor(job->query, data, opts, lease.get());
-      while (auto embedding = cursor.Next()) {
-        if (!DeliverEmbedding(job, std::move(*embedding))) {
-          cursor.Close();
-          break;
-        }
+        if (!DeliverEmbedding(job, std::move(out))) return false;
         ++streamed;
-      }
-      result = cursor.Finish();
+        return true;
+      };
+    }
+    const uint32_t threads = parallel ? options_.intra_query_threads : 1;
+    if (cached.prepared != nullptr) {
+      result = DafMatchPrepared(*cached.prepared, data, opts, threads,
+                                lease.get());
     } else {
-      result = DafMatch(job->query, data, opts, lease.get());
+      result = ParallelDafMatch(job->query, data, opts, threads, lease.get());
     }
   }
   job->run_ms = run_timer.ElapsedMs();
@@ -366,7 +340,7 @@ void MatchService::ProcessJob(const internal::JobStatePtr& job) {
   {
     std::lock_guard<std::mutex> lock(metrics_mutex_);
     embeddings_streamed_ += streamed;
-    if (ran_parallel) ++counters_.parallel_jobs;
+    if (parallel) ++counters_.parallel_jobs;
     budget_rejections_ += budget.rejections();
     peak_job_bytes_ = std::max(peak_job_bytes_, budget.peak_bytes());
   }

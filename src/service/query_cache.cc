@@ -11,13 +11,14 @@ namespace daf::service {
 namespace {
 
 // Packs the CS-shaping options — the only MatchOptions that change the
-// cached blob — into one fingerprint word for the key suffix.
+// cached blob — into one fingerprint word for the key suffix. Every value
+// is kept whole, so a hit always matches the blob's fingerprint, which
+// DafMatchPrepared checks field by field.
 uint64_t OptionsFingerprint(const MatchOptions& options) {
-  uint64_t fp = static_cast<uint64_t>(
-      std::clamp(options.refinement_steps, 0, 255));
-  if (options.use_nlf_filter) fp |= 1u << 8;
-  if (options.use_mnd_filter) fp |= 1u << 9;
-  if (options.injective) fp |= 1u << 10;
+  uint64_t fp = static_cast<uint32_t>(options.refinement_steps);
+  if (options.use_nlf_filter) fp |= uint64_t{1} << 32;
+  if (options.use_mnd_filter) fp |= uint64_t{1} << 33;
+  if (options.injective) fp |= uint64_t{1} << 34;
   return fp;
 }
 

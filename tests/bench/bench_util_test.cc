@@ -106,6 +106,26 @@ TEST(BenchReportTest, DefaultPathUsesBinaryName) {
   EXPECT_NE(path.find(".json"), std::string::npos);
 }
 
+TEST(LatencySummaryTest, OrderStatisticsAndJsonKeys) {
+  EXPECT_EQ(Summarize({}).p50, 0.0);
+  std::vector<double> samples;
+  for (int v = 100; v >= 1; --v) samples.push_back(v);
+  const LatencySummary s = Summarize(samples);
+  EXPECT_EQ(s.p50, 51.0);
+  EXPECT_EQ(s.p95, 96.0);
+  EXPECT_EQ(s.p99, 100.0);
+  EXPECT_EQ(s.max, 100.0);
+  EXPECT_DOUBLE_EQ(s.mean, 50.5);
+  // The BENCH_service / BENCH_dynamic latency objects keep these keys.
+  obs::JsonWriter w(0);
+  WriteLatency(w, s);
+  for (const char* key :
+       {"\"p50_ms\"", "\"p95_ms\"", "\"p99_ms\"", "\"max_ms\"",
+        "\"mean_ms\""}) {
+    EXPECT_NE(w.str().find(key), std::string::npos) << key;
+  }
+}
+
 TEST(DefaultScaleTest, CoversEveryDataset) {
   for (int id = 0;
        id <= static_cast<int>(workload::DatasetId::kTwitterSim); ++id) {

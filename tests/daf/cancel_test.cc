@@ -1,6 +1,7 @@
-// Cancellation-path consistency across the three engine entry points:
-// DafMatch, ParallelDafMatch, and EmbeddingCursor must all report a
-// cancelled run as ok / cancelled / !Complete() with partial counts, and an
+// Cancellation-path consistency across the engine's one pipeline, reached
+// inline (DafMatch), through parallel workers (ParallelDafMatch) and
+// through the EmbeddingCursor pull adapter: each must report a cancelled
+// run as ok / cancelled / !Complete() with partial counts, and an
 // interrupted CS build must never masquerade as a negativity certificate.
 #include <gtest/gtest.h>
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/bruteforce.h"
+#include "daf/prepared.h"
 #include "graph/query_extract.h"
 #include "tests/test_util.h"
 
@@ -265,6 +266,39 @@ TEST(EngineTest, ReportsCsStatistics) {
   EXPECT_GT(result.cs_edges, 0u);
   EXPECT_GT(result.recursive_calls, 0u);
   EXPECT_GE(result.preprocess_ms, 0.0);
+}
+
+TEST(EngineTest, PreparedRunRejectsMismatchedFingerprint) {
+  // A 3-leaf star over one data edge: the injective CS drops the center
+  // (degree filter) and certifies the query negative, while the star has
+  // two homomorphisms (center on either endpoint, leaves on the other).
+  Graph data = MakePath({0, 0});
+  Graph query = MakeStar({0, 0, 0, 0});
+  PrepareOutcome injective = PrepareQuery(query, data, MatchOptions{});
+  ASSERT_NE(injective.prepared, nullptr);
+  ASSERT_TRUE(injective.prepared->cs_certified_negative);
+
+  MatchOptions hom;
+  hom.injective = false;
+  MatchResult mismatched = DafMatchPrepared(*injective.prepared, data, hom);
+  EXPECT_FALSE(mismatched.ok);
+  EXPECT_NE(mismatched.error.find("injective"), std::string::npos)
+      << mismatched.error;
+  EXPECT_EQ(mismatched.embeddings, 0u);
+
+  MatchOptions fewer_passes;
+  fewer_passes.refinement_steps = 1;
+  MatchResult steps = DafMatchPrepared(*injective.prepared, data, fewer_passes);
+  EXPECT_FALSE(steps.ok);
+  EXPECT_NE(steps.error.find("refinement_steps"), std::string::npos)
+      << steps.error;
+
+  PrepareOutcome matching = PrepareQuery(query, data, hom);
+  ASSERT_NE(matching.prepared, nullptr);
+  MatchResult prepared = DafMatchPrepared(*matching.prepared, data, hom);
+  ASSERT_TRUE(prepared.ok);
+  EXPECT_EQ(prepared.embeddings, 2u);
+  EXPECT_EQ(prepared.embeddings, DafMatch(query, data, hom).embeddings);
 }
 
 }  // namespace

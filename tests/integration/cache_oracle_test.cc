@@ -248,8 +248,9 @@ TEST(CacheOracleTest, EdgeLabeledPatternsColdWarmPermuted) {
 }
 
 // The intra-query parallel engine over a shared cached CS: interactive
-// non-streaming jobs on a service with intra_query_threads > 1 run through
-// ParallelDafMatchPrepared on a hit; counts must match the cold build.
+// non-streaming jobs on a service with intra_query_threads > 1 run
+// DafMatchPrepared with that many threads on a hit; counts must match the
+// cold build.
 TEST(CacheOracleTest, ParallelEngineServesFromCache) {
   Rng rng(501);
   Graph data = RandomDataGraph(200, 700, 3, rng);

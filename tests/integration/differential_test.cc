@@ -5,6 +5,8 @@
 #include "baselines/bruteforce.h"
 #include "baselines/vf2.h"
 #include "daf/engine.h"
+#include "daf/parallel.h"
+#include "daf/prepared.h"
 #include "graph/query_extract.h"
 #include "tests/test_util.h"
 
@@ -21,6 +23,9 @@ using daf::testing::EmbeddingSet;
 // embedding *sets* must be identical, not just the counts. All DAF runs
 // share one warm MatchContext, so the arena/scratch reuse path is exercised
 // across hundreds of differently-shaped queries — under ASan/UBSan in CI.
+// Each trial also runs the other one-thread entry points (ParallelDafMatch
+// and DafMatchPrepared over a PrepareQuery blob), which must reproduce
+// DafMatch's counters exactly.
 
 constexpr int kShards = 8;
 constexpr int kTrialsPerShard = 25;
@@ -109,6 +114,41 @@ TEST_P(DifferentialTest, DafAgreesWithOraclesOnRandomPairs) {
         << " failing=" << opts.use_failing_sets
         << " leaves=" << opts.leaf_decomposition
         << " injective=" << injective << " edge_labeled=" << edge_labeled;
+
+    // Entry-point parity: a one-thread ParallelDafMatch and a one-thread
+    // search over a PrepareQuery blob run the same pipeline as DafMatch,
+    // so every counter must agree exactly.
+    EmbeddingSet one_thread_found;
+    opts.callback = daf::testing::VerifyingCollector(query, data,
+                                                     &one_thread_found,
+                                                     injective);
+    ParallelMatchResult one_thread =
+        ParallelDafMatch(query, data, opts, 1, &context);
+    EmbeddingSet prepared_found;
+    opts.callback = daf::testing::VerifyingCollector(query, data,
+                                                     &prepared_found,
+                                                     injective);
+    PrepareOutcome prepare = PrepareQuery(query, data, opts);
+    ASSERT_NE(prepare.prepared, nullptr) << "trial " << trial;
+    ParallelMatchResult prepared =
+        DafMatchPrepared(*prepare.prepared, data, opts, 1, &context);
+    for (const ParallelMatchResult* other : {&one_thread, &prepared}) {
+      const char* engine = other == &one_thread ? "ParallelDafMatch(1)"
+                                                : "DafMatchPrepared(1)";
+      ASSERT_TRUE(other->ok) << engine << " trial " << trial;
+      EXPECT_EQ(other->embeddings, result.embeddings)
+          << engine << " trial " << trial;
+      EXPECT_EQ(other->recursive_calls, result.recursive_calls)
+          << engine << " trial " << trial;
+      EXPECT_EQ(other->cs_candidates, result.cs_candidates)
+          << engine << " trial " << trial;
+      EXPECT_EQ(other->cs_edges, result.cs_edges)
+          << engine << " trial " << trial;
+      EXPECT_EQ(other->cs_certified_negative, result.cs_certified_negative)
+          << engine << " trial " << trial;
+    }
+    EXPECT_EQ(one_thread_found, expected) << "trial " << trial;
+    EXPECT_EQ(prepared_found, expected) << "trial " << trial;
 
     if (injective) {  // VF2 enumerates embeddings only
       EmbeddingSet vf2_found;

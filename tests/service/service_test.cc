@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "daf/engine.h"
+#include "service/job_state.h"
 #include "tests/test_util.h"
 
 namespace daf::service {
@@ -131,6 +133,32 @@ TEST(MatchServiceTest, StreamedEmbeddingsEqualTheDirectSet) {
   EXPECT_EQ(streamed, expected);
   EXPECT_EQ(handle.Wait(), JobStatus::kDone);
   EXPECT_EQ(handle.Result().embeddings, expected.size());
+}
+
+// Threads of this process: one /proc/self/task entry each.
+size_t ProcessThreadCount() {
+  size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+TEST(MatchServiceTest, StreamingJobRunsOnItsWorkerThread) {
+  MatchService service(BlockerData(), {.num_workers = 1});
+  const size_t idle_threads = ProcessThreadCount();
+  JobHandle handle = SubmitBlocker(service);
+  WaitForStatus(handle, JobStatus::kRunning);
+  // Give the search time to fill the stream buffer and park on it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(ProcessThreadCount(), idle_threads);
+  // The search really was parked: the buffer holds exactly its capacity.
+  constexpr size_t kCapacity = internal::JobState::kBufferCapacity;
+  EXPECT_EQ(handle.TryNextBatch(kCapacity + 1).size(), kCapacity);
+  handle.CloseStream();
+  EXPECT_EQ(handle.Wait(), JobStatus::kDone);
 }
 
 TEST(MatchServiceTest, QueueOverflowRejectsInsteadOfBlocking) {
