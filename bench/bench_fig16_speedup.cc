@@ -161,9 +161,6 @@ int Run(int argc, char** argv) {
           opts.limit = 0;  // all embeddings: equal work at any thread count
           opts.time_limit_ms = static_cast<uint64_t>(common.timeout_ms) * 5;
           opts.parallel_strategy = strategy;
-          // Pin workers socket-major: the speedup curves are what pinning
-          // exists for (no-op on single-cpu hosts).
-          opts.pin_workers = true;
           ParallelMatchResult r = ParallelDafMatch(q, data, opts, threads);
           if (!r.ok || r.timed_out) continue;
           FillOneWorkerSplit(&r);
@@ -215,7 +212,6 @@ int Run(int argc, char** argv) {
       opts.limit = 0;
       opts.time_limit_ms = static_cast<uint64_t>(common.timeout_ms) * 5;
       opts.parallel_strategy = strategy;
-      opts.pin_workers = true;
       ParallelMatchResult r =
           ParallelDafMatch(skew_query, skew_data, opts, threads);
       if (!r.ok || r.timed_out) continue;

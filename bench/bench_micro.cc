@@ -27,6 +27,7 @@
 #include "daf/query_dag.h"
 #include "daf/weights.h"
 #include "graph/query_extract.h"
+#include "persist/snapshot.h"
 #include "util/intersect.h"
 #include "util/stop.h"
 #include "util/timer.h"
@@ -303,17 +304,17 @@ void BM_LoadGraphText(benchmark::State& state) {
 }
 BENCHMARK(BM_LoadGraphText);
 
-void BM_LoadGraphBinary(benchmark::State& state) {
+void BM_LoadGraphSnapshot(benchmark::State& state) {
   const Graph& data = YeastData();
-  std::string path = "/tmp/daf_bench_graph.dafg";
+  const std::string path = "/tmp/daf_bench_graph.dafs";
   std::string error;
-  SaveGraphBinary(data, path, &error);
+  persist::WriteSnapshot(data, 0, path, &error);
   for (auto _ : state) {
-    auto g = LoadGraphBinary(path, &error);
+    auto g = persist::LoadSnapshot(path, nullptr, &error);
     benchmark::DoNotOptimize(g->NumEdges());
   }
 }
-BENCHMARK(BM_LoadGraphBinary);
+BENCHMARK(BM_LoadGraphSnapshot);
 
 }  // namespace
 

@@ -6,8 +6,8 @@
 //   $ ./examples/daf_server --data g.txt --workers 8
 //   $ ./examples/daf_server --data g.dafs --data-dir /var/lib/daf
 //
-// --data accepts any supported graph format (text, legacy DAFG binary, or
-// a DAFS snapshot — see graph_convert). With --data-dir the service is
+// --data accepts either supported graph format (text or a DAFS snapshot —
+// see graph_convert). With --data-dir the service is
 // durable (docs/PERSISTENCE.md): every update batch is WAL-appended before
 // it applies, compaction rolls the log into a binary snapshot, and a
 // restart recovers the newest snapshot plus the WAL tail — the preloaded
@@ -135,9 +135,6 @@ class Session {
       // each service instance picks up exactly where the last left off.
       daf::persist::DurableStore::Options po;
       po.fsync_policy = config_.fsync_policy;
-      po.delta_options.compaction_ratio = defaults_.delta_compaction_ratio;
-      po.delta_options.compaction_min_edges =
-          defaults_.delta_compaction_min_edges;
       std::string error;
       std::unique_ptr<daf::persist::DurableStore> store =
           daf::persist::DurableStore::Open(config_.data_dir, po, &error);

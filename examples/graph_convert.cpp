@@ -1,16 +1,15 @@
-// graph_convert: converts a data graph between the on-disk formats —
-// literature text (t/v/e), legacy "DAFG" binary, and the checksummed
-// "DAFS" snapshot format the durable match service uses
-// (docs/PERSISTENCE.md).
+// graph_convert: converts a data graph between the two on-disk formats —
+// literature text (t/v/e) and the checksummed "DAFS" snapshot format the
+// durable match service uses (docs/PERSISTENCE.md).
 //
 //   $ ./examples/graph_convert --in yeast.txt --out yeast.dafs
 //   $ ./examples/graph_convert --in yeast.dafs --out roundtrip.txt
 //   $ ./examples/graph_convert --in yeast.dafs --info
 //
-// The input format is sniffed from the leading magic, so any supported
-// file converts to any other; the output format comes from --to
-// (text|dafs|dafg) or, when --to is unset, from the output extension
-// (.dafs / .dafg / anything else = text). Conversion is lossless for
+// The input format is sniffed from the leading magic, so either format
+// converts to the other; the output format comes from --to (text|dafs)
+// or, when --to is unset, from the output extension (.dafs / anything
+// else = text). Conversion is lossless for
 // everything the text format can express: text -> dafs -> text reproduces
 // the original graph exactly (vertex ids, labels, adjacency). A DAFS
 // snapshot additionally carries the dynamic-graph version (--graph-version
@@ -28,7 +27,6 @@ std::string FormatFromExtension(const std::string& path) {
   const size_t dot = path.rfind('.');
   const std::string ext = dot == std::string::npos ? "" : path.substr(dot);
   if (ext == ".dafs") return "dafs";
-  if (ext == ".dafg") return "dafg";
   return "text";
 }
 
@@ -39,7 +37,7 @@ int main(int argc, char** argv) {
   std::string& in_path = flags.String("in", "", "input graph (any format)");
   std::string& out_path = flags.String("out", "", "output path");
   std::string& to =
-      flags.String("to", "", "output format: text|dafs|dafg "
+      flags.String("to", "", "output format: text|dafs "
                              "(default: from the output extension)");
   int64_t& graph_version = flags.Int64(
       "graph-version", 0, "dynamic-graph version stamped into a DAFS output");
@@ -89,12 +87,10 @@ int main(int argc, char** argv) {
   if (format == "dafs") {
     ok = daf::persist::WriteSnapshot(
         *g, static_cast<uint64_t>(graph_version), out_path, &error);
-  } else if (format == "dafg") {
-    ok = daf::SaveGraphBinary(*g, out_path, &error);
   } else if (format == "text") {
     ok = daf::SaveGraph(*g, out_path, &error);
   } else {
-    std::fprintf(stderr, "unknown format '%s' (text|dafs|dafg)\n",
+    std::fprintf(stderr, "unknown format '%s' (text|dafs)\n",
                  format.c_str());
     return 1;
   }

@@ -93,8 +93,8 @@ int main(int argc, char** argv) {
   }
   g_print_limit = print_limit;
   std::string error;
-  // Any supported format: text, legacy DAFG binary, or a DAFS snapshot
-  // (see examples/graph_convert).
+  // Either supported format: text or a DAFS snapshot (see
+  // examples/graph_convert).
   auto data = daf::persist::LoadGraphAnyFormat(data_path, &error);
   if (!data) {
     std::fprintf(stderr, "cannot load data graph: %s\n", error.c_str());

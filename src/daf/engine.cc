@@ -16,7 +16,6 @@
 #include "daf/steal.h"
 #include "daf/weights.h"
 #include "util/timer.h"
-#include "util/topo.h"
 
 namespace daf {
 
@@ -167,17 +166,10 @@ void RunWorkers(const Graph& query, const QueryDag& dag,
   std::atomic<uint64_t> shared_count{0};
   std::atomic<uint32_t> root_cursor{0};
   bt.shared_count = &shared_count;
-  // Worker placement: pin_workers assigns each worker a cpu in PinOrder
-  // (socket-major, physical cores first) and feeds the per-worker home
-  // sockets to the scheduler so its steal sweep visits same-socket victims
-  // before remote ones. Inactive (and free) on single-cpu hosts.
-  const PinPlan pin_plan =
-      MakePinPlan(HwTopology::Get(), threads, options.pin_workers);
-  result->pinned = pin_plan.active;
   std::unique_ptr<StealScheduler> scheduler;
   if (options.parallel_strategy == ParallelStrategy::kWorkStealing) {
-    scheduler = std::make_unique<StealScheduler>(
-        threads, options.split_threshold, pin_plan.socket);
+    scheduler =
+        std::make_unique<StealScheduler>(threads, options.split_threshold);
     // The seed task (no prefix, no pinned range) makes whichever worker
     // grabs it first start a full search; everyone else feeds on donations.
     scheduler->Seed(SubtreeTask{});
@@ -214,7 +206,6 @@ void RunWorkers(const Graph& query, const QueryDag& dag,
   context->EnsureThreads(threads);
   for (uint32_t t = 0; t < threads; ++t) {
     workers.emplace_back([&, t]() {
-      if (pin_plan.active) PinCurrentThreadToCpu(pin_plan.cpu[t]);
       Backtracker backtracker(query, dag, cs, weights, data_num_vertices,
                               &context->backtrack_scratch(t));
       BacktrackOptions worker_bt = bt;
@@ -243,8 +234,6 @@ void RunWorkers(const Graph& query, const QueryDag& dag,
       const StealWorkerStats& ws = scheduler->worker_stats(t);
       result->tasks_executed += ws.tasks_executed;
       result->steals += ws.steals;
-      result->local_steals += ws.local_steals;
-      result->remote_steals += ws.remote_steals;
       result->donations += ws.donations;
       result->idle_ms += ws.idle_ms;
       per_thread_steals[t] = ws.steals;
@@ -258,12 +247,9 @@ void RunWorkers(const Graph& query, const QueryDag& dag,
     profile->thread_profiles = std::move(thread_profiles);
     profile->parallel.tasks_executed = result->tasks_executed;
     profile->parallel.steals = result->steals;
-    profile->parallel.local_steals = result->local_steals;
-    profile->parallel.remote_steals = result->remote_steals;
     profile->parallel.donations = result->donations;
     profile->parallel.idle_ms = result->idle_ms;
     profile->parallel.call_imbalance = result->call_imbalance;
-    profile->parallel.pinned = result->pinned;
     profile->parallel.per_thread_calls = result->per_thread_calls;
     profile->parallel.per_thread_steals = std::move(per_thread_steals);
   }

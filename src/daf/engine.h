@@ -57,10 +57,6 @@ struct MatchOptions {
   /// donation (kWorkStealing only; clamped to >= 1). 1 forces maximal
   /// splitting — the stress-test configuration.
   uint32_t split_threshold = 8;
-  /// Pin parallel workers to cpus (socket-major, physical cores first; see
-  /// util/topo.h) and make the steal sweep prefer same-socket victims.
-  /// No-op for single-threaded runs and on single-cpu hosts.
-  bool pin_workers = false;
   /// Optional per-embedding callback.
   EmbeddingCallback callback;
   /// Opt-in search profile (not owned): stage timers, CS prune counts,

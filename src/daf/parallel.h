@@ -19,13 +19,8 @@ struct ParallelMatchResult : MatchResult {
   // Work-stealing scheduler counters (all zero under kRootCursor).
   uint64_t tasks_executed = 0;  // subtree tasks run (seed + stolen)
   uint64_t steals = 0;          // tasks taken from another worker
-  uint64_t local_steals = 0;    // ... from a same-socket victim
-  uint64_t remote_steals = 0;   // ... from a victim on another socket
   uint64_t donations = 0;       // candidate ranges split off for thieves
   double idle_ms = 0;           // summed time workers spent out of work
-  /// Workers were pinned to cpus (MatchOptions::pin_workers on a
-  /// multi-cpu host).
-  bool pinned = false;
   /// max/mean per-thread recursive calls: 1.0 = perfect balance,
   /// `threads_used` = one worker did everything.
   double call_imbalance = 0;

@@ -4,35 +4,9 @@
 
 namespace daf {
 
-StealScheduler::StealScheduler(uint32_t num_workers, uint32_t split_threshold,
-                               std::vector<uint32_t> worker_sockets)
+StealScheduler::StealScheduler(uint32_t num_workers, uint32_t split_threshold)
     : slots_(num_workers == 0 ? 1 : num_workers),
-      split_threshold_(split_threshold == 0 ? 1 : split_threshold) {
-  const uint32_t n = num_workers == 0 ? 1 : num_workers;
-  if (worker_sockets.size() != n) worker_sockets.assign(n, 0);
-  steal_order_.resize(n);
-  num_local_.resize(n);
-  for (uint32_t thief = 0; thief < n; ++thief) {
-    // Ring order starting after the thief, partitioned into same-socket
-    // victims first: a cheap static approximation of NUMA distance that
-    // keeps the plain ring when everyone shares a socket.
-    std::vector<uint32_t>& order = steal_order_[thief];
-    order.reserve(n - 1);
-    for (uint32_t offset = 1; offset < n; ++offset) {
-      const uint32_t victim = (thief + offset) % n;
-      if (worker_sockets[victim] == worker_sockets[thief]) {
-        order.push_back(victim);
-      }
-    }
-    num_local_[thief] = static_cast<uint32_t>(order.size());
-    for (uint32_t offset = 1; offset < n; ++offset) {
-      const uint32_t victim = (thief + offset) % n;
-      if (worker_sockets[victim] != worker_sockets[thief]) {
-        order.push_back(victim);
-      }
-    }
-  }
-}
+      split_threshold_(split_threshold == 0 ? 1 : split_threshold) {}
 
 void StealScheduler::Seed(SubtreeTask task) {
   {
@@ -69,22 +43,15 @@ bool StealScheduler::TryPopOwn(uint32_t worker, SubtreeTask* out) {
 }
 
 bool StealScheduler::TrySteal(uint32_t thief, SubtreeTask* out) {
-  const std::vector<uint32_t>& order = steal_order_[thief];
-  for (size_t x = 0; x < order.size(); ++x) {
-    WorkerSlot& victim = slots_[order[x]];
+  for (uint32_t k = 0; k + 1 < num_workers(); ++k) {
+    WorkerSlot& victim = slots_[steal_victim(thief, k)];
     std::lock_guard<std::mutex> lock(victim.mutex);
     if (victim.deque.empty()) continue;
     // Oldest first: the earliest donation came from the shallowest frame,
     // i.e. the largest pending piece of the victim's subtree.
     *out = std::move(victim.deque.front());
     victim.deque.pop_front();
-    StealWorkerStats& stats = slots_[thief].stats;
-    ++stats.steals;
-    if (x < num_local_[thief]) {
-      ++stats.local_steals;
-    } else {
-      ++stats.remote_steals;
-    }
+    ++slots_[thief].stats.steals;
     return true;
   }
   return false;

@@ -35,8 +35,6 @@ struct SubtreeTask {
 struct StealWorkerStats {
   uint64_t tasks_executed = 0;  // tasks this worker ran (own + stolen)
   uint64_t steals = 0;          // tasks taken from another worker's deque
-  uint64_t local_steals = 0;    // ... from a victim on the thief's socket
-  uint64_t remote_steals = 0;   // ... from a victim on another socket
   uint64_t donations = 0;       // ranges this worker split off and published
   double idle_ms = 0;           // time spent waiting for work
 };
@@ -61,13 +59,8 @@ class StealScheduler {
   /// `split_threshold` is the minimum number of unclaimed sibling
   /// candidates a frame must have to be splittable; 1 donates maximally
   /// eagerly (every pending candidate is up for grabs — the forced-steal
-  /// stress configuration). `worker_sockets` (one home-socket id per
-  /// worker, e.g. PinPlan::socket) makes the steal sweep locality-aware:
-  /// each thief visits same-socket victims in ring order before any remote
-  /// one. Empty or mis-sized vectors mean "one socket" — every victim is
-  /// local and the sweep is the plain ring.
-  StealScheduler(uint32_t num_workers, uint32_t split_threshold,
-                 std::vector<uint32_t> worker_sockets = {});
+  /// stress configuration).
+  StealScheduler(uint32_t num_workers, uint32_t split_threshold);
 
   StealScheduler(const StealScheduler&) = delete;
   StealScheduler& operator=(const StealScheduler&) = delete;
@@ -104,10 +97,10 @@ class StealScheduler {
     return slots_[worker].stats;
   }
 
-  /// The victim sweep order of one thief (exposed for tests): same-socket
-  /// victims in ring order, then remote ones in ring order.
-  const std::vector<uint32_t>& steal_order(uint32_t thief) const {
-    return steal_order_[thief];
+  /// The k-th victim (k in [0, num_workers() - 1)) of one thief's steal
+  /// sweep: the plain ring (thief + 1 + k) % num_workers().
+  uint32_t steal_victim(uint32_t thief, uint32_t k) const {
+    return (thief + 1 + k) % num_workers();
   }
 
  private:
@@ -122,10 +115,6 @@ class StealScheduler {
 
   std::vector<WorkerSlot> slots_;
   const uint32_t split_threshold_;
-  // steal_order_[t] = victims of thief t; the first num_local_[t] entries
-  // share t's socket.
-  std::vector<std::vector<uint32_t>> steal_order_;
-  std::vector<uint32_t> num_local_;
   std::atomic<uint32_t> pending_{0};  // tasks sitting in some deque
   std::atomic<uint32_t> idle_{0};     // workers blocked in GetTask
   std::atomic<bool> stop_{false};

@@ -75,6 +75,9 @@ class DeltaGraph {
   /// Number of successfully applied batches; the initial graph is v0.
   uint64_t version() const { return version_; }
 
+  /// Replaces the compaction policy; the next install applies it.
+  void set_options(const Options& options) { options_ = options; }
+
   // --- Writer operations (externally serialized).
 
   /// Computes the net effect of `batch` against the current state (see
@@ -95,8 +98,9 @@ class DeltaGraph {
                          NormalizedBatch* normalized = nullptr);
 
   /// Installs an already-normalized net change verbatim: the WAL replay
-  /// path. `net` must be exactly what Normalize produced against this
-  /// version of the graph (persist::WalRecord stores it), and
+  /// path, and MatchService's install of the batch it normalized itself.
+  /// `net` must be exactly what Normalize produced against this version of
+  /// the graph (persist::WalRecord stores it), and
   /// `new_vertex_labels` the labels of `net.new_vertices` in order. No
   /// re-normalization happens — re-deriving the net change from a raw
   /// batch would let removals shadow a label-change's reinsertion — and no

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -136,108 +135,6 @@ bool SaveGraph(const Graph& g, const std::string& path, std::string* error) {
     return false;
   }
   return true;
-}
-
-namespace {
-
-constexpr char kBinaryMagic[4] = {'D', 'A', 'F', 'G'};
-constexpr uint32_t kBinaryVersion = 1;
-
-template <typename T>
-void WritePod(std::ofstream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::ifstream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
-
-}  // namespace
-
-bool SaveGraphBinary(const Graph& g, const std::string& path,
-                     std::string* error) {
-  std::ofstream file(path, std::ios::binary);
-  if (!file) {
-    if (error != nullptr) *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  file.write(kBinaryMagic, sizeof(kBinaryMagic));
-  WritePod(file, kBinaryVersion);
-  WritePod(file, g.NumVertices());
-  WritePod(file, g.NumEdges());
-  const uint8_t has_edge_labels = g.HasNontrivialEdgeLabels() ? 1 : 0;
-  WritePod(file, has_edge_labels);
-  for (uint32_t v = 0; v < g.NumVertices(); ++v) {
-    WritePod(file, g.original_label(g.label(v)));
-  }
-  for (const auto& [e, label] : g.LabeledEdgeList()) {
-    WritePod(file, e.first);
-    WritePod(file, e.second);
-    if (has_edge_labels != 0) WritePod(file, label);
-  }
-  if (!file) {
-    if (error != nullptr) *error = "write failed for " + path;
-    return false;
-  }
-  return true;
-}
-
-std::optional<Graph> LoadGraphBinary(const std::string& path,
-                                     std::string* error) {
-  std::ifstream file(path, std::ios::binary);
-  auto fail = [&](const std::string& message) {
-    if (error != nullptr) *error = message;
-    return std::nullopt;
-  };
-  if (!file) return fail("cannot open " + path);
-  char magic[4] = {};
-  file.read(magic, sizeof(magic));
-  if (!file || std::memcmp(magic, kBinaryMagic, sizeof(magic)) != 0) {
-    return fail("not a DAFG binary graph file");
-  }
-  uint32_t version = 0;
-  if (!ReadPod(file, &version) || version != kBinaryVersion) {
-    return fail("unsupported DAFG version");
-  }
-  uint32_t num_vertices = 0;
-  uint64_t num_edges = 0;
-  uint8_t has_edge_labels = 0;
-  if (!ReadPod(file, &num_vertices) || !ReadPod(file, &num_edges) ||
-      !ReadPod(file, &has_edge_labels)) {
-    return fail("truncated header");
-  }
-  if (num_vertices > kMaxDeclaredVertices) {
-    return fail("declared vertex count exceeds limit");
-  }
-  if (num_edges > kMaxDeclaredEdges) {
-    return fail("declared edge count exceeds limit");
-  }
-  std::vector<Label> labels(num_vertices);
-  for (uint32_t v = 0; v < num_vertices; ++v) {
-    if (!ReadPod(file, &labels[v])) return fail("truncated vertex labels");
-  }
-  std::vector<Edge> edges;
-  std::vector<Label> edge_labels;
-  edges.reserve(std::min(num_edges, kMaxTrustedReserve));
-  for (uint64_t i = 0; i < num_edges; ++i) {
-    VertexId u = 0;
-    VertexId v = 0;
-    if (!ReadPod(file, &u) || !ReadPod(file, &v)) {
-      return fail("truncated edge list");
-    }
-    if (u >= num_vertices || v >= num_vertices) {
-      return fail("edge endpoint out of range");
-    }
-    edges.emplace_back(u, v);
-    if (has_edge_labels != 0) {
-      Label l = 0;
-      if (!ReadPod(file, &l)) return fail("truncated edge labels");
-      edge_labels.push_back(l);
-    }
-  }
-  return Graph::FromLabeledEdges(std::move(labels), edges, edge_labels);
 }
 
 }  // namespace daf

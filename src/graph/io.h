@@ -20,7 +20,9 @@ namespace daf {
 std::optional<Graph> ParseGraphText(const std::string& text,
                                     std::string* error);
 
-/// Loads a graph from a file in the text format above.
+/// Loads a graph from a file in the text format above. Large graphs load
+/// several times faster from a DAFS snapshot (persist/snapshot.h; see
+/// BM_LoadGraphText vs BM_LoadGraphSnapshot in bench_micro).
 std::optional<Graph> LoadGraph(const std::string& path, std::string* error);
 
 /// Serializes a graph to the text format above.
@@ -28,17 +30,6 @@ std::string GraphToText(const Graph& g);
 
 /// Writes a graph to a file; returns false (and fills `*error`) on failure.
 bool SaveGraph(const Graph& g, const std::string& path, std::string* error);
-
-/// Writes a graph in the compact binary format ("DAFG", version 1,
-/// host-endian). Several times faster to load than the text format (see
-/// BM_LoadGraphText vs BM_LoadGraphBinary in bench_micro) — useful for the
-/// multi-million-edge data graphs of Appendix A.1.
-bool SaveGraphBinary(const Graph& g, const std::string& path,
-                     std::string* error);
-
-/// Loads a graph written by SaveGraphBinary.
-std::optional<Graph> LoadGraphBinary(const std::string& path,
-                                     std::string* error);
 
 }  // namespace daf
 

@@ -220,12 +220,9 @@ void WriteProfile(JsonWriter& w, const SearchProfile& profile) {
     w.Key("parallel").BeginObject();
     w.Key("tasks_executed").Uint(par.tasks_executed);
     w.Key("steals").Uint(par.steals);
-    w.Key("local_steals").Uint(par.local_steals);
-    w.Key("remote_steals").Uint(par.remote_steals);
     w.Key("donations").Uint(par.donations);
     w.Key("idle_ms").Double(par.idle_ms);
     w.Key("call_imbalance").Double(par.call_imbalance);
-    w.Key("pinned").Bool(par.pinned);
     w.Key("per_thread_calls").BeginArray();
     for (uint64_t c : par.per_thread_calls) w.Uint(c);
     w.EndArray();

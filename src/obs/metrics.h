@@ -126,12 +126,9 @@ struct MemoryProfile {
 struct ParallelProfile {
   uint64_t tasks_executed = 0;  // subtree tasks run (seed + donations)
   uint64_t steals = 0;          // tasks taken from another worker's deque
-  uint64_t local_steals = 0;    // ... from a same-socket victim
-  uint64_t remote_steals = 0;   // ... from a victim on another socket
   uint64_t donations = 0;       // ranges split off for hungry workers
   double idle_ms = 0;           // summed worker time spent waiting for work
   double call_imbalance = 0;    // max/mean per-thread recursive calls
-  bool pinned = false;          // workers were pinned to cpus (PinPlan)
   std::vector<uint64_t> per_thread_calls;
   std::vector<uint64_t> per_thread_steals;
 

@@ -97,9 +97,6 @@ void WriteServiceMetrics(JsonWriter& w, const ServiceMetricsSnapshot& m) {
   w.Key("global_memory_limit").Uint(m.global_memory_limit);
   w.Key("pool_peak_in_use").Uint(m.pool_peak_in_use);
   w.Key("pool_capacity").Uint(m.pool_capacity);
-  w.Key("pool_sockets").Uint(m.pool_sockets);
-  w.Key("pool_local_leases").Uint(m.pool_local_leases);
-  w.Key("pool_remote_leases").Uint(m.pool_remote_leases);
   w.EndObject();
   w.Key("cache").BeginObject();
   w.Key("enabled").Bool(m.cache_enabled);

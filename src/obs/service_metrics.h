@@ -81,9 +81,6 @@ struct ServiceMetricsSnapshot {
   uint64_t global_memory_limit = 0; // service-global limit (0 = unlimited)
   uint32_t pool_peak_in_use = 0;    // context-pool high-water mark
   uint32_t pool_capacity = 0;       // context-pool size
-  uint32_t pool_sockets = 0;        // sockets the free lists span
-  uint64_t pool_local_leases = 0;   // leases served from the local socket
-  uint64_t pool_remote_leases = 0;  // leases that spilled cross-socket
   // Cross-query plan/CS cache (all zero when cache_enabled is false). The
   // classification invariant hits + misses + coalesced == lookups holds in
   // every snapshot.

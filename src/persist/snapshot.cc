@@ -19,7 +19,7 @@ namespace {
 // "DAFS" as a little-endian u32 ('D' first byte on disk).
 constexpr uint32_t kMagic = 0x53464144u;
 
-// Same hardening caps as the text/DAFG loaders (graph/io.cc): a corrupt
+// Same hardening caps as the text loader (graph/io.cc): a corrupt
 // header can never make the reader allocate beyond them.
 constexpr uint64_t kMaxVertices = uint64_t{1} << 28;
 constexpr uint64_t kMaxEdges = uint64_t{1} << 31;
@@ -238,8 +238,11 @@ bool WriteSnapshot(const Graph& g, uint64_t graph_version,
     if (FAULT_POINT(snapshot_write)) {
       return abort_write("injected fault: snapshot_write");
     }
-    if (std::fwrite(p.data, 1, static_cast<size_t>(p.bytes), f.get()) !=
-        p.bytes) {
+    // An empty section (an empty graph) may have a null data pointer,
+    // which fwrite must not be passed.
+    if (p.bytes > 0 &&
+        std::fwrite(p.data, 1, static_cast<size_t>(p.bytes), f.get()) !=
+            p.bytes) {
       return abort_write("short write (section)");
     }
   }
@@ -340,9 +343,6 @@ std::optional<Graph> LoadGraphAnyFormat(const std::string& path,
   }
   if (std::memcmp(magic, "DAFS", 4) == 0) {
     return LoadSnapshot(path, nullptr, error);
-  }
-  if (std::memcmp(magic, "DAFG", 4) == 0) {
-    return LoadGraphBinary(path, error);
   }
   return LoadGraph(path, error);
 }

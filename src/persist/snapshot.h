@@ -11,7 +11,7 @@ namespace daf::persist {
 
 /// The "DAFS" versioned binary CSR snapshot format (docs/PERSISTENCE.md).
 ///
-/// Layout (all integers little-endian/host, like the legacy DAFG format):
+/// Layout (all integers little-endian/host):
 ///
 ///   header (40 bytes):
 ///     u32 magic "DAFS" | u32 format_version | u64 graph_version |
@@ -66,8 +66,8 @@ std::optional<SnapshotInfo> ReadSnapshotInfo(const std::string& path,
 bool SniffSnapshot(const std::string& path);
 
 /// Loads a graph from any supported on-disk format, dispatching on the
-/// leading magic: "DAFS" snapshot, legacy "DAFG" binary, else the text
-/// format. Lets match_cli / daf_server `--data` accept all three.
+/// leading magic: "DAFS" snapshot, else the text format. Lets match_cli /
+/// daf_server `--data` accept both.
 std::optional<Graph> LoadGraphAnyFormat(const std::string& path,
                                         std::string* error);
 

@@ -143,7 +143,7 @@ bool DurableStore::Recover(std::string* error) {
     return Fail(error, "every snapshot is corrupt; last: " + last_error);
   }
   recovered_graph_.emplace(dyn::DeltaGraph::Restore(
-      std::move(*base), options_.delta_options, snapshot_version));
+      std::move(*base), dyn::DeltaGraph::Options(), snapshot_version));
   recovery_.recovered = true;
   recovery_.snapshot_version = snapshot_version;
 
@@ -217,9 +217,11 @@ bool DurableStore::Recover(std::string* error) {
   return true;
 }
 
-dyn::DeltaGraph DurableStore::TakeRecoveredGraph() {
+dyn::DeltaGraph DurableStore::TakeRecoveredGraph(
+    const dyn::DeltaGraph::Options& options) {
   dyn::DeltaGraph g = std::move(*recovered_graph_);
   recovered_graph_.reset();
+  g.set_options(options);
   return g;
 }
 

@@ -72,9 +72,6 @@ class DurableStore {
   struct Options {
     FsyncPolicy fsync_policy = FsyncPolicy::kEveryBatch;
     uint64_t fsync_interval_ms = 50;
-    /// DeltaGraph options used for the recovered graph (must match the
-    /// service's, or the recovered graph compacts on a different cadence).
-    dyn::DeltaGraph::Options delta_options;
     /// Snapshots kept after a checkpoint (older ones + their WAL segments
     /// are deleted). At least 1; 2 keeps a fallback if the newest is
     /// damaged later.
@@ -94,8 +91,11 @@ class DurableStore {
   bool has_state() const { return recovered_graph_.has_value(); }
 
   /// Moves out the recovered DeltaGraph (version restored, tombstones
-  /// dead, WAL replayed). Precondition: has_state().
-  dyn::DeltaGraph TakeRecoveredGraph();
+  /// dead, WAL replayed under DeltaGraph's default compaction policy) and
+  /// hands it the caller's `options` from here on, so it compacts on the
+  /// caller's cadence. Precondition: has_state().
+  dyn::DeltaGraph TakeRecoveredGraph(
+      const dyn::DeltaGraph::Options& options = {});
 
   /// Seeds an empty directory: writes snapshot-<version> of `base` and
   /// starts its WAL segment. Precondition: !has_state().

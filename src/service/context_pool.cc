@@ -6,22 +6,14 @@
 
 namespace daf::service {
 
-ContextPool::ContextPool(uint32_t capacity, uint64_t retained_bytes_limit,
-                         const HwTopology* topo)
-    : topo_(topo != nullptr ? topo : &HwTopology::Get()),
-      retained_bytes_limit_(retained_bytes_limit) {
+ContextPool::ContextPool(uint32_t capacity, uint64_t retained_bytes_limit)
+    : retained_bytes_limit_(retained_bytes_limit) {
   capacity = std::max(capacity, 1u);
-  num_sockets_ = std::max(topo_->num_sockets, 1u);
   contexts_.reserve(capacity);
-  home_socket_.reserve(capacity);
-  free_.resize(num_sockets_);
+  free_.reserve(capacity);
   for (uint32_t i = 0; i < capacity; ++i) {
     contexts_.push_back(std::make_unique<MatchContext>());
-    // Round-robin home sockets: capacity is spread evenly so every socket
-    // has warm contexts of its own.
-    const uint32_t socket = i % num_sockets_;
-    home_socket_.push_back(socket);
-    free_[socket].push_back(contexts_.back().get());
+    free_.push_back(contexts_.back().get());
   }
 }
 
@@ -44,34 +36,15 @@ void ContextPool::Lease::Release() {
   }
 }
 
-MatchContext* ContextPool::TakeLocked(uint32_t preferred_socket) {
-  preferred_socket %= num_sockets_;
-  for (uint32_t offset = 0; offset < num_sockets_; ++offset) {
-    std::vector<MatchContext*>& list =
-        free_[(preferred_socket + offset) % num_sockets_];
-    if (list.empty()) continue;
-    MatchContext* context = list.back();
-    list.pop_back();
-    ++in_use_;
-    peak_in_use_ = std::max(peak_in_use_, in_use_);
-    if (offset == 0) {
-      ++local_leases_;
-    } else {
-      ++remote_leases_;
-    }
-    return context;
-  }
-  return nullptr;
-}
-
-ContextPool::Lease ContextPool::AcquirePreferred(uint32_t preferred_socket) {
-  MatchContext* context = nullptr;
+ContextPool::Lease ContextPool::Acquire() {
+  MatchContext* context;
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    available_cv_.wait(lock, [&] {
-      context = TakeLocked(preferred_socket);
-      return context != nullptr;
-    });
+    available_cv_.wait(lock, [&] { return !free_.empty(); });
+    context = free_.back();
+    free_.pop_back();
+    ++in_use_;
+    peak_in_use_ = std::max(peak_in_use_, in_use_);
   }
   // Simulated lease fault: the context lost its warmth (as if the pool had
   // to rebuild it); the job still runs, just cold.
@@ -79,67 +52,14 @@ ContextPool::Lease ContextPool::AcquirePreferred(uint32_t preferred_socket) {
   return Lease(this, context);
 }
 
-ContextPool::Lease ContextPool::Acquire() {
-  return AcquirePreferred(topo_->CurrentSocket());
-}
-
-ContextPool::Lease ContextPool::Acquire(uint32_t preferred_socket) {
-  return AcquirePreferred(preferred_socket);
-}
-
-std::optional<ContextPool::Lease> ContextPool::TryAcquire() {
-  MatchContext* context;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    context = TakeLocked(topo_->CurrentSocket());
-    if (context == nullptr) return std::nullopt;
-  }
-  if (FAULT_POINT(context_pool_lease)) context->Trim();
-  return Lease(this, context);
-}
-
-uint32_t ContextPool::capacity() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<uint32_t>(contexts_.size());
-}
-
 uint32_t ContextPool::available() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  uint32_t total = 0;
-  for (const std::vector<MatchContext*>& list : free_) {
-    total += static_cast<uint32_t>(list.size());
-  }
-  return total;
+  return static_cast<uint32_t>(free_.size());
 }
 
 uint32_t ContextPool::peak_in_use() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return peak_in_use_;
-}
-
-uint64_t ContextPool::local_leases() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return local_leases_;
-}
-
-uint64_t ContextPool::remote_leases() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return remote_leases_;
-}
-
-uint32_t ContextPool::HomeSocketOf(const MatchContext* context) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (size_t i = 0; i < contexts_.size(); ++i) {
-    if (contexts_[i].get() == context) return home_socket_[i];
-  }
-  return 0;
-}
-
-void ContextPool::TrimFree() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (std::vector<MatchContext*>& list : free_) {
-    for (MatchContext* context : list) context->Trim();
-  }
 }
 
 void ContextPool::Return(MatchContext* context) {
@@ -151,16 +71,7 @@ void ContextPool::Return(MatchContext* context) {
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    // Back to the home free list: the context's warmed pages live on its
-    // home socket's node, so that is where it should be re-leased from.
-    uint32_t socket = 0;
-    for (size_t i = 0; i < contexts_.size(); ++i) {
-      if (contexts_[i].get() == context) {
-        socket = home_socket_[i];
-        break;
-      }
-    }
-    free_[socket].push_back(context);
+    free_.push_back(context);
     --in_use_;
   }
   available_cv_.notify_one();

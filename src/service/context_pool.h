@@ -5,11 +5,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "daf/match_context.h"
-#include "util/topo.h"
 
 namespace daf::service {
 
@@ -22,15 +20,8 @@ namespace daf::service {
 /// Acquire() hands out an RAII lease; the context returns to the free list
 /// when the lease dies. A context serves exactly one lease at a time
 /// (MatchContext's own contract), so holding a lease is exclusive access.
-///
-/// Contexts are distributed round-robin over the topology's sockets at
-/// construction and keep that home socket for life: a returned context
-/// rejoins its home free list, and Acquire prefers the caller's socket, so
-/// a warmed arena's pages keep being touched from the NUMA node they were
-/// faulted in on. When the local list is empty the lease spills to a remote
-/// socket rather than blocking (work beats locality). On single-socket
-/// topologies (the Flat fallback included) everything is one local list and
-/// the behavior is exactly the old single-free-list pool.
+/// The free list is LIFO: the most recently returned (warmest) context is
+/// leased next. Placement is left to the OS.
 class ContextPool {
  public:
   /// Creates `capacity` (>= 1) cold contexts up front; they warm on use.
@@ -39,10 +30,7 @@ class ContextPool {
   /// back to the threshold before rejoining the free list, so one oversized
   /// query can't pin its high-water footprint into the pool forever.
   /// 0 (the default) disables shedding — contexts keep everything warm.
-  /// `topo` (not owned; defaults to the machine topology) supplies the
-  /// socket layout for the per-socket free lists.
-  explicit ContextPool(uint32_t capacity, uint64_t retained_bytes_limit = 0,
-                       const HwTopology* topo = nullptr);
+  explicit ContextPool(uint32_t capacity, uint64_t retained_bytes_limit = 0);
 
   ContextPool(const ContextPool&) = delete;
   ContextPool& operator=(const ContextPool&) = delete;
@@ -71,18 +59,10 @@ class ContextPool {
     MatchContext* context_ = nullptr;
   };
 
-  /// Blocks until a context is free and leases it, preferring one whose
-  /// home socket is the calling thread's current socket.
+  /// Blocks until a context is free and leases it.
   Lease Acquire();
 
-  /// Blocks until a context is free and leases it, preferring
-  /// `preferred_socket`'s free list (tests and socket-aware callers).
-  Lease Acquire(uint32_t preferred_socket);
-
-  /// Leases a context only if one is free right now (same preference).
-  std::optional<Lease> TryAcquire();
-
-  uint32_t capacity() const;
+  uint32_t capacity() const { return static_cast<uint32_t>(contexts_.size()); }
 
   /// Contexts currently free (diagnostics; stale by the time you read it).
   uint32_t available() const;
@@ -90,44 +70,18 @@ class ContextPool {
   /// Most contexts ever leased at once (the pool high-water mark).
   uint32_t peak_in_use() const;
 
-  /// Sockets the free lists are spread over (1 on flat topologies).
-  uint32_t num_sockets() const { return num_sockets_; }
-
-  /// Leases served from the preferred socket's own free list.
-  uint64_t local_leases() const;
-
-  /// Leases that spilled to another socket's free list.
-  uint64_t remote_leases() const;
-
-  /// Home socket of a context (tests; linear scan).
-  uint32_t HomeSocketOf(const MatchContext* context) const;
-
-  /// Releases the retained memory of every currently-free context (leased
-  /// contexts are untouched). Use after a burst of oversized queries to
-  /// shed the high-water footprint; the next jobs re-warm.
-  void TrimFree();
-
  private:
   void Return(MatchContext* context);
-  /// Pops a free context, local list first; null when all lists are empty.
-  /// Caller holds mutex_.
-  MatchContext* TakeLocked(uint32_t preferred_socket);
-  Lease AcquirePreferred(uint32_t preferred_socket);
 
   mutable std::mutex mutex_;
   std::condition_variable available_cv_;
   // unique_ptr storage keeps context addresses stable for outstanding
   // leases regardless of vector moves.
   std::vector<std::unique_ptr<MatchContext>> contexts_;
-  std::vector<uint32_t> home_socket_;  // parallel to contexts_
-  std::vector<std::vector<MatchContext*>> free_;  // one list per socket
-  const HwTopology* topo_ = nullptr;  // not owned
-  uint32_t num_sockets_ = 1;
-  uint64_t retained_bytes_limit_ = 0;
+  std::vector<MatchContext*> free_;
+  const uint64_t retained_bytes_limit_;
   uint32_t in_use_ = 0;
   uint32_t peak_in_use_ = 0;
-  uint64_t local_leases_ = 0;
-  uint64_t remote_leases_ = 0;
 };
 
 }  // namespace daf::service

@@ -65,7 +65,7 @@ dyn::DeltaGraph MatchService::InitGraph(Graph data) {
   if (store_ != nullptr && store_->has_state()) {
     // Recovery already replayed the WAL onto the newest valid snapshot;
     // the constructor's seed graph is superseded by the durable truth.
-    return store_->TakeRecoveredGraph();
+    return store_->TakeRecoveredGraph(DeltaOptions(options_));
   }
   if (store_ != nullptr) {
     std::string error;
@@ -578,7 +578,7 @@ UpdateOutcome MatchService::ApplyUpdates(const dyn::UpdateBatch& batch) {
 
   // Pure pre-pass: the net change set, and per subscription the embeddings
   // it destroys — both read the pre-batch graph, so they must run before
-  // ApplyBatch. Nothing is delivered yet: if the apply itself fails (an
+  // the install. Nothing is delivered yet: if the apply itself fails (an
   // injected delta_apply fault), the negatives are simply dropped and no
   // subscriber observes a version that never existed.
   dyn::NormalizedBatch net;
@@ -624,7 +624,16 @@ UpdateOutcome MatchService::ApplyUpdates(const dyn::UpdateBatch& batch) {
   uint64_t checkpoint_version = 0;
   {
     std::lock_guard<std::mutex> glock(graph_mutex_);
-    dyn::ApplyResult r = dgraph_.ApplyBatch(batch);
+    // Install the net change computed above (ApplyBatch would normalize the
+    // same batch a second time under the lock). The delta_apply fault stands
+    // in for a failed install: polled once per batch, after the append.
+    dyn::ApplyResult r;
+    if (FAULT_POINT(delta_apply)) {
+      r.ok = false;
+      r.error = "injected fault: delta_apply";
+    } else {
+      r = dgraph_.ApplyNormalized(net, batch.add_vertices);
+    }
     if (!r.ok) {
       if (logged) {
         // The WAL holds a batch the graph refused; truncate it back out.
@@ -656,7 +665,7 @@ UpdateOutcome MatchService::ApplyUpdates(const dyn::UpdateBatch& batch) {
 
     // Post-pass per subscription: maintain the candidates, enumerate the
     // created embeddings, deliver. Still under graph_mutex_ because the
-    // rebuild fallback (and compaction inside ApplyBatch) materializes.
+    // rebuild fallback (and compaction inside the install) materializes.
     notify_ms.reserve(subscriptions_.size());
     for (size_t i = 0; i < subscriptions_.size(); ++i) {
       internal::SubscriptionState& sub = *subscriptions_[i];
@@ -785,9 +794,6 @@ obs::ServiceMetricsSnapshot MatchService::Metrics() const {
   m.global_memory_limit = global_budget_.limit();
   m.pool_peak_in_use = contexts_.peak_in_use();
   m.pool_capacity = contexts_.capacity();
-  m.pool_sockets = contexts_.num_sockets();
-  m.pool_local_leases = contexts_.local_leases();
-  m.pool_remote_leases = contexts_.remote_leases();
   m.wait = wait_hist_;
   m.run = run_hist_;
   m.total = total_hist_;

@@ -108,9 +108,9 @@ struct ServiceOptions {
   /// store recovered prior state, the constructor's `data` argument is
   /// ignored in favor of the recovered graph; a fresh store is seeded with
   /// `data` as the version-0 snapshot (if that seed write fails the
-  /// service degrades to memory-only with a warning on stderr). Configure
-  /// the store's delta_options to match delta_compaction_* so a recovered
-  /// graph compacts on the same cadence. Once attached, every committed
+  /// service degrades to memory-only with a warning on stderr). A recovered
+  /// graph compacts (and checkpoints) on delta_compaction_* like a fresh
+  /// one. Once attached, every committed
   /// batch is WAL-appended before it is applied, and overlay compaction
   /// additionally rolls the WAL into a fresh snapshot.
   std::shared_ptr<persist::DurableStore> data_store;
@@ -251,7 +251,7 @@ class MatchService {
   /// The data graph. Mutated only under update_mutex_ (ApplyUpdates /
   /// Subscribe); graph_mutex_ additionally guards every access that can
   /// touch the lazily cached materialization (Snapshot, the mutation window
-  /// of ApplyBatch, and CS maintenance, whose rebuild path materializes).
+  /// of the install, and CS maintenance, whose rebuild path materializes).
   dyn::DeltaGraph dgraph_;
   mutable std::mutex graph_mutex_;
   /// Serializes update batches and subscription registration end to end

@@ -14,7 +14,6 @@
 #include "daf/parallel.h"
 #include "daf/steal.h"
 #include "graph/query_extract.h"
-#include "util/topo.h"
 #include "tests/test_util.h"
 
 namespace daf {
@@ -291,48 +290,17 @@ TEST(WorkStealTest, ProfileReportsSchedulerCounters) {
   EXPECT_EQ(steals, r.steals);
 }
 
-TEST(StealOrderTest, SameSocketVictimsSweepFirst) {
-  // Workers 0,1 on socket 0 and 2,3 on socket 1: each thief must visit
-  // its same-socket sibling before either remote worker, and the remote
-  // victims must still follow the ring order.
-  StealScheduler sched(4, /*split_threshold=*/8, {0, 0, 1, 1});
-  EXPECT_EQ(sched.steal_order(0), (std::vector<uint32_t>{1, 2, 3}));
-  EXPECT_EQ(sched.steal_order(1), (std::vector<uint32_t>{0, 2, 3}));
-  EXPECT_EQ(sched.steal_order(2), (std::vector<uint32_t>{3, 0, 1}));
-  EXPECT_EQ(sched.steal_order(3), (std::vector<uint32_t>{2, 0, 1}));
-}
-
 TEST(StealOrderTest, FlatTopologyPreservesPlainRing) {
-  // No socket vector (and a mis-sized one) both degrade to the original
-  // ring sweep: thief t visits t+1, t+2, ... modulo n.
-  StealScheduler plain(4, /*split_threshold=*/8);
-  StealScheduler missized(4, /*split_threshold=*/8, {0, 1});
+  // Every thief sweeps the ring: thief t visits t+1, t+2, ... modulo n.
+  StealScheduler sched(4, /*split_threshold=*/8);
   for (uint32_t t = 0; t < 4; ++t) {
     std::vector<uint32_t> ring;
-    for (uint32_t i = 1; i < 4; ++i) ring.push_back((t + i) % 4);
-    EXPECT_EQ(plain.steal_order(t), ring) << "thief " << t;
-    EXPECT_EQ(missized.steal_order(t), ring) << "thief " << t;
-  }
-}
-
-TEST(StealOrderTest, LocalAndRemoteCountersPartitionSteals) {
-  // On a flat (single-socket) machine every steal is local; the profile
-  // must agree with the aggregate counter.
-  Graph data = MakeClique({0, 0, 0, 0, 0, 0, 0, 0});
-  Graph query = MakeCycle({0, 0, 0, 0});
-  obs::SearchProfile profile;
-  MatchOptions opts;
-  opts.profile = &profile;
-  opts.parallel_strategy = ParallelStrategy::kWorkStealing;
-  opts.split_threshold = 1;
-  ParallelMatchResult r = ParallelDafMatch(query, data, opts, 4);
-  ASSERT_TRUE(r.ok);
-  EXPECT_EQ(r.local_steals + r.remote_steals, r.steals);
-  EXPECT_EQ(profile.parallel.local_steals, r.local_steals);
-  EXPECT_EQ(profile.parallel.remote_steals, r.remote_steals);
-  EXPECT_EQ(profile.parallel.pinned, r.pinned);
-  if (HwTopology::Get().num_sockets == 1) {
-    EXPECT_EQ(r.remote_steals, 0u);
+    std::vector<uint32_t> order;
+    for (uint32_t i = 1; i < 4; ++i) {
+      ring.push_back((t + i) % 4);
+      order.push_back(sched.steal_victim(t, i - 1));
+    }
+    EXPECT_EQ(order, ring) << "thief " << t;
   }
 }
 

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -171,45 +170,6 @@ TEST(IoFuzzTest, RandomTokenSoupNeverCrashes) {
     std::string error;
     auto g = ParseGraphText(text, &error);
     if (g.has_value()) CheckStructure(*g);
-  }
-}
-
-TEST(IoFuzzTest, TruncatedBinaryFilesAreErrors) {
-  // Round-trip a graph to the binary format, then feed every prefix of the
-  // file back: all must fail cleanly (or parse, for the full file).
-  std::string error;
-  auto g = ParseGraphText(ValidText(), &error);
-  ASSERT_TRUE(g.has_value());
-  const std::string path = ::testing::TempDir() + "/io_fuzz_graph.bin";
-  ASSERT_TRUE(SaveGraphBinary(*g, path, &error)) << error;
-  auto full = LoadGraphBinary(path, &error);
-  ASSERT_TRUE(full.has_value()) << error;
-  EXPECT_EQ(full->NumVertices(), g->NumVertices());
-
-  // Read the bytes back.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::vector<char> bytes;
-  char buf[256];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  std::fclose(f);
-  ASSERT_GT(bytes.size(), 16u);
-
-  const std::string trunc_path = ::testing::TempDir() + "/io_fuzz_trunc.bin";
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    std::FILE* out = std::fopen(trunc_path.c_str(), "wb");
-    ASSERT_NE(out, nullptr);
-    if (len > 0) {
-      ASSERT_EQ(std::fwrite(bytes.data(), 1, len, out), len);
-    }
-    std::fclose(out);
-    std::string trunc_error;
-    auto truncated = LoadGraphBinary(trunc_path, &trunc_error);
-    EXPECT_FALSE(truncated.has_value()) << "prefix of " << len << " bytes";
-    EXPECT_FALSE(trunc_error.empty());
   }
 }
 

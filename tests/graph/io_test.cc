@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "tests/test_util.h"
 
@@ -88,69 +86,6 @@ TEST(IoTest, FileRoundTrip) {
   auto g2 = LoadGraph(path, &error);
   ASSERT_TRUE(g2.has_value()) << error;
   EXPECT_EQ(g2->NumEdges(), g.NumEdges());
-  std::remove(path.c_str());
-}
-
-TEST(BinaryIoTest, RoundTrip) {
-  Rng rng(23);
-  Graph g = daf::testing::RandomDataGraph(60, 150, 5, rng);
-  std::string path = ::testing::TempDir() + "/daf_io_test_graph.dafg";
-  std::string error;
-  ASSERT_TRUE(SaveGraphBinary(g, path, &error)) << error;
-  auto g2 = LoadGraphBinary(path, &error);
-  ASSERT_TRUE(g2.has_value()) << error;
-  EXPECT_EQ(g2->NumVertices(), g.NumVertices());
-  EXPECT_EQ(g2->NumEdges(), g.NumEdges());
-  for (uint32_t v = 0; v < g.NumVertices(); ++v) {
-    EXPECT_EQ(g2->original_label(g2->label(v)), g.original_label(g.label(v)));
-    EXPECT_EQ(g2->degree(v), g.degree(v));
-  }
-  EXPECT_EQ(g2->EdgeList(), g.EdgeList());
-  std::remove(path.c_str());
-}
-
-TEST(BinaryIoTest, RoundTripWithEdgeLabels) {
-  Graph g = Graph::FromLabeledEdges({1, 2, 1}, {{0, 1}, {1, 2}}, {4, 9});
-  std::string path = ::testing::TempDir() + "/daf_io_test_labeled.dafg";
-  std::string error;
-  ASSERT_TRUE(SaveGraphBinary(g, path, &error)) << error;
-  auto g2 = LoadGraphBinary(path, &error);
-  ASSERT_TRUE(g2.has_value()) << error;
-  EXPECT_TRUE(g2->HasNontrivialEdgeLabels());
-  EXPECT_EQ(g2->EdgeLabelBetween(0, 1), 4u);
-  EXPECT_EQ(g2->EdgeLabelBetween(1, 2), 9u);
-  std::remove(path.c_str());
-}
-
-TEST(BinaryIoTest, RejectsGarbage) {
-  std::string path = ::testing::TempDir() + "/daf_io_test_garbage.dafg";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "this is not a graph";
-  }
-  std::string error;
-  EXPECT_FALSE(LoadGraphBinary(path, &error).has_value());
-  EXPECT_NE(error.find("DAFG"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(BinaryIoTest, RejectsTruncatedFile) {
-  Rng rng(24);
-  Graph g = daf::testing::RandomDataGraph(30, 70, 3, rng);
-  std::string path = ::testing::TempDir() + "/daf_io_test_trunc.dafg";
-  std::string error;
-  ASSERT_TRUE(SaveGraphBinary(g, path, &error)) << error;
-  // Truncate to half.
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  in.close();
-  std::string content = buffer.str();
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(content.data(), static_cast<int64_t>(content.size() / 2));
-  }
-  EXPECT_FALSE(LoadGraphBinary(path, &error).has_value());
   std::remove(path.c_str());
 }
 

@@ -106,7 +106,6 @@ dyn::DeltaGraph::Options AggressiveCompaction() {
 persist::DurableStore::Options StoreOptions() {
   persist::DurableStore::Options o;
   o.fsync_policy = persist::FsyncPolicy::kEveryBatch;
-  o.delta_options = AggressiveCompaction();
   return o;
 }
 
@@ -162,7 +161,7 @@ void RunCrashCase(const std::string& point, uint64_t nth, uint64_t seed,
   auto store = persist::DurableStore::Open(dir.path(), StoreOptions(), &error);
   ASSERT_NE(store, nullptr) << error;
   ASSERT_TRUE(store->has_state());
-  dyn::DeltaGraph recovered = store->TakeRecoveredGraph();
+  dyn::DeltaGraph recovered = store->TakeRecoveredGraph(AggressiveCompaction());
   const uint64_t version = recovered.version();
   ASSERT_LE(version, static_cast<uint64_t>(kBatchesPerRun));
 

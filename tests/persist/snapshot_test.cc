@@ -123,9 +123,8 @@ TEST(SnapshotTest, LoadGraphAnyFormatDispatches) {
   std::string error;
   ASSERT_TRUE(WriteSnapshot(g, 0, dir.File("g.dafs"), &error)) << error;
   ASSERT_TRUE(SaveGraph(g, dir.File("g.txt"), &error)) << error;
-  ASSERT_TRUE(SaveGraphBinary(g, dir.File("g.dafg"), &error)) << error;
 
-  for (const char* name : {"g.dafs", "g.txt", "g.dafg"}) {
+  for (const char* name : {"g.dafs", "g.txt"}) {
     std::optional<Graph> loaded = LoadGraphAnyFormat(dir.File(name), &error);
     ASSERT_TRUE(loaded.has_value()) << name << ": " << error;
     EXPECT_EQ(GraphToText(g), GraphToText(*loaded)) << name;

@@ -117,15 +117,6 @@ TEST(ContextPoolTest, CapacityAndAvailability) {
   EXPECT_EQ(pool.available(), 2u);  // leases returned on destruction
 }
 
-TEST(ContextPoolTest, TryAcquireFailsWhenExhausted) {
-  ContextPool pool(1);
-  std::optional<ContextPool::Lease> first = pool.TryAcquire();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_FALSE(pool.TryAcquire().has_value());
-  first->Release();
-  EXPECT_TRUE(pool.TryAcquire().has_value());
-}
-
 TEST(ContextPoolTest, ReleaseIsIdempotent) {
   ContextPool pool(1);
   ContextPool::Lease lease = pool.Acquire();
@@ -159,13 +150,6 @@ TEST(ContextPoolTest, AcquireBlocksUntilAReturn) {
   held.Release();
   waiter.join();
   EXPECT_TRUE(acquired.load());
-}
-
-TEST(ContextPoolTest, TrimFreeKeepsContextsUsable) {
-  ContextPool pool(2);
-  pool.TrimFree();
-  ContextPool::Lease lease = pool.Acquire();
-  EXPECT_NE(lease.get(), nullptr);
 }
 
 TEST(ContextPoolTest, ConcurrentAcquireReleaseHandsOutExclusiveContexts) {

@@ -229,6 +229,30 @@ TEST_F(RestartTest, ExplicitCheckpointSpeedsRecovery) {
   EXPECT_EQ(store->TakeRecoveredGraph().version(), 1u);
 }
 
+TEST_F(RestartTest, RecoveredGraphCompactsOnServiceCadence) {
+  ScopedTempDir dir;
+  {
+    MatchService service(SmallData(), DurableOptions(OpenStore(dir.path())));
+    service.GracefulShutdown(2000);
+  }
+  // The store is opened with default options; the compaction cadence of
+  // the recovered graph comes from the service alone.
+  auto store = OpenStore(dir.path());
+  ASSERT_TRUE(store->has_state());
+  ServiceOptions options = DurableOptions(store);
+  options.delta_compaction_ratio = 0.01;
+  options.delta_compaction_min_edges = 1;
+  MatchService service(MakePath({7, 7}), options);
+  const uint64_t written = service.Metrics().persist_snapshots_written;
+  dyn::UpdateBatch b;
+  b.InsertEdge(1, 3);
+  ASSERT_TRUE(service.ApplyUpdates(b).ok);
+  // One overlay edge over a two-edge base exceeds ratio 0.01: the batch
+  // compacts, and compaction writes a checkpoint.
+  EXPECT_GT(service.Metrics().persist_snapshots_written, written);
+  EXPECT_EQ(service.GraphVersion(), 1u);
+}
+
 TEST_F(RestartTest, MemoryOnlyServiceReportsPersistDisabled) {
   MatchService service(SmallData(), {.num_workers = 1});
   const auto m = service.Metrics();
