@@ -11,6 +11,11 @@
 //   wal_replay   DurableStore::Open over a directory holding one snapshot
 //                plus a WAL of --wal_batches batches: full recovery time
 //                and records/second replayed.
+//   tail_sweep   the same open (median of --reps) at WAL tails of 0,
+//                wal_batches/4 and wal_batches batches of one stream, with
+//                RecoveryInfo's load / replay / build split. Replay never
+//                compacts and the build runs once, so open time should grow
+//                linearly with the tail.
 //   sizes        bytes on disk for both formats (the snapshot also wins
 //                on size; the report records the ratio).
 //
@@ -153,53 +158,91 @@ int Run(int argc, char** argv) {
   const double snap_p50 = MedianMs(snap_ms);
   const double speedup = snap_p50 > 0 ? text_p50 / snap_p50 : 0.0;
 
-  // --- WAL replay: seed a store, log a batch stream, recover it.
-  const std::string store_dir = dir.File("store");
-  uint64_t wal_bytes = 0;
+  // --- WAL replay: log one batch stream, then seed one store per swept
+  // tail length with its prefix and recover each.
+  struct Record {
+    dyn::NormalizedBatch net;
+    std::vector<Label> new_vertex_labels;
+  };
+  std::vector<Record> records;
   {
-    persist::DurableStore::Options options;
-    options.fsync_policy = persist::FsyncPolicy::kOff;
-    auto store = persist::DurableStore::Open(store_dir, options, &error);
-    if (store == nullptr || !store->InitializeFresh(data, 0, &error)) {
-      std::fprintf(stderr, "store init failed: %s\n", error.c_str());
-      return 1;
-    }
     dyn::DeltaGraph dg(data);
     for (int64_t i = 0; i < wal_batches; ++i) {
       dyn::UpdateBatch batch = MakeBatch(
           *dg.Materialize(), static_cast<uint64_t>(batch_edges), rng);
-      dyn::NormalizedBatch net;
-      if (!dg.Normalize(batch, &net, &error) ||
-          !store->AppendBatch(net, batch.add_vertices, dg.version() + 1,
-                              &error)) {
-        std::fprintf(stderr, "append failed: %s\n", error.c_str());
+      Record record{{}, batch.add_vertices};
+      if (!dg.Normalize(batch, &record.net, &error) ||
+          !dg.ApplyNormalized(record.net, record.new_vertex_labels).ok) {
+        std::fprintf(stderr, "apply failed: %s\n", error.c_str());
         return 1;
       }
-      if (!dg.ApplyBatch(batch).ok) {
-        std::fprintf(stderr, "apply failed\n");
+      records.push_back(std::move(record));
+    }
+  }
+  struct TailPoint {
+    int64_t tail = 0;
+    uint64_t wal_bytes = 0;
+    double open_ms = 0;  // medians over --reps opens
+    double load_ms = 0;
+    double replay_ms = 0;
+    double build_ms = 0;
+  };
+  std::vector<TailPoint> sweep;
+  for (int64_t tail : {int64_t{0}, wal_batches / 4, wal_batches}) {
+    TailPoint point;
+    point.tail = tail;
+    const std::string store_dir = dir.File("store-" + std::to_string(tail));
+    {
+      persist::DurableStore::Options options;
+      options.fsync_policy = persist::FsyncPolicy::kOff;
+      auto store = persist::DurableStore::Open(store_dir, options, &error);
+      if (store == nullptr || !store->InitializeFresh(data, 0, &error)) {
+        std::fprintf(stderr, "store init failed: %s\n", error.c_str());
+        return 1;
+      }
+      for (int64_t i = 0; i < tail; ++i) {
+        if (!store->AppendBatch(records[i].net, records[i].new_vertex_labels,
+                                static_cast<uint64_t>(i) + 1, &error)) {
+          std::fprintf(stderr, "append failed: %s\n", error.c_str());
+          return 1;
+        }
+      }
+      point.wal_bytes = store->Stats().wal_bytes;
+      if (!store->Sync(&error)) {
+        std::fprintf(stderr, "sync failed: %s\n", error.c_str());
         return 1;
       }
     }
-    wal_bytes = store->Stats().wal_bytes;
-    if (!store->Sync(&error)) {
-      std::fprintf(stderr, "sync failed: %s\n", error.c_str());
-      return 1;
+    std::vector<double> open_ms, load_ms, replay_ms, build_ms;
+    for (int64_t r = 0; r < reps; ++r) {
+      Stopwatch timer;
+      auto store = persist::DurableStore::Open(store_dir, {}, &error);
+      open_ms.push_back(timer.ElapsedMs());
+      if (store == nullptr || !store->has_state()) {
+        std::fprintf(stderr, "recovery failed: %s\n", error.c_str());
+        return 1;
+      }
+      const persist::RecoveryInfo& info = store->recovery();
+      if (info.wal_records_replayed != static_cast<uint64_t>(tail)) {
+        std::fprintf(stderr, "GATE: replayed %llu != logged %lld\n",
+                     static_cast<unsigned long long>(info.wal_records_replayed),
+                     static_cast<long long>(tail));
+        return 1;
+      }
+      load_ms.push_back(info.load_ms);
+      replay_ms.push_back(info.replay_ms);
+      build_ms.push_back(info.build_ms);
     }
+    point.open_ms = MedianMs(open_ms);
+    point.load_ms = MedianMs(load_ms);
+    point.replay_ms = MedianMs(replay_ms);
+    point.build_ms = MedianMs(build_ms);
+    sweep.push_back(point);
   }
-  Stopwatch recovery_timer;
-  auto store = persist::DurableStore::Open(store_dir, {}, &error);
-  const double recovery_ms = recovery_timer.ElapsedMs();
-  if (store == nullptr || !store->has_state()) {
-    std::fprintf(stderr, "recovery failed: %s\n", error.c_str());
-    return 1;
-  }
-  const uint64_t replayed = store->recovery().wal_records_replayed;
-  if (replayed != static_cast<uint64_t>(wal_batches)) {
-    std::fprintf(stderr, "GATE: replayed %llu != logged %lld\n",
-                 static_cast<unsigned long long>(replayed),
-                 static_cast<long long>(wal_batches));
-    return 1;
-  }
+  const TailPoint& full = sweep.back();
+  const uint64_t replayed = static_cast<uint64_t>(full.tail);
+  const uint64_t wal_bytes = full.wal_bytes;
+  const double recovery_ms = full.open_ms;
   const double replay_per_sec =
       recovery_ms > 0 ? 1000.0 * static_cast<double>(replayed) / recovery_ms
                       : 0.0;
@@ -235,6 +278,18 @@ int Run(int argc, char** argv) {
       .Key("recovery_ms").Double(recovery_ms)
       .Key("records_per_sec").Double(replay_per_sec)
       .EndObject();
+  w.Key("tail_sweep").BeginArray();
+  for (const TailPoint& point : sweep) {
+    w.BeginObject()
+        .Key("tail").Int(point.tail)
+        .Key("wal_bytes").Uint(point.wal_bytes)
+        .Key("open_ms").Double(point.open_ms)
+        .Key("load_ms").Double(point.load_ms)
+        .Key("replay_ms").Double(point.replay_ms)
+        .Key("build_ms").Double(point.build_ms)
+        .EndObject();
+  }
+  w.EndArray();
   w.EndObject();
   std::FILE* f = std::fopen(report.c_str(), "w");
   if (f == nullptr) {
@@ -248,13 +303,19 @@ int Run(int argc, char** argv) {
       "bench_recovery: %u vertices, %llu edges\n"
       "  cold start  text %.1f ms (%.1f MB)  snapshot %.1f ms (%.1f MB)  "
       "speedup %.1fx\n"
-      "  wal replay  %llu records in %.1f ms (%.0f records/s, %.2f MB)\n"
-      "  report      %s\n",
+      "  wal replay  %llu records in %.1f ms (%.0f records/s, %.2f MB)\n",
       data.NumVertices(), static_cast<unsigned long long>(data.NumEdges()),
       text_p50, static_cast<double>(text_bytes) / 1e6, snap_p50,
       static_cast<double>(snap_bytes) / 1e6, speedup,
       static_cast<unsigned long long>(replayed), recovery_ms, replay_per_sec,
-      static_cast<double>(wal_bytes) / 1e6, report.c_str());
+      static_cast<double>(wal_bytes) / 1e6);
+  for (const TailPoint& point : sweep) {
+    std::printf(
+        "  tail %5lld  open %.1f ms = load %.1f + replay %.1f + build %.1f\n",
+        static_cast<long long>(point.tail), point.open_ms, point.load_ms,
+        point.replay_ms, point.build_ms);
+  }
+  std::printf("  report      %s\n", report.c_str());
 
   if (smoke && speedup < 5.0) {
     std::fprintf(stderr,

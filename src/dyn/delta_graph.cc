@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
+#include <optional>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -64,7 +69,7 @@ bool DeltaGraph::EdgeLabelNow(VertexId u, VertexId v, Label* label_out) const {
   if (u == v || u >= NumVertices() || v >= NumVertices()) return false;
   if (OverlayEdgeLabel(u, v, label_out)) return true;
   const Overlay* ov = OverlayFor(u);
-  if (ov != nullptr && ov->removed.count(EdgeKey(u, v))) return false;
+  if (ov != nullptr && ov->Removed(v)) return false;
   return EdgeInBase(u, v, label_out);
 }
 
@@ -89,7 +94,7 @@ uint32_t DeltaGraph::NeighborOriginalLabelCount(VertexId v, Label l) const {
         count += static_cast<uint32_t>(slice.size());
       } else {
         for (VertexId w : slice) {
-          if (!ov->removed.count(EdgeKey(v, w))) ++count;
+          if (!ov->Removed(w)) ++count;
         }
       }
     }
@@ -256,26 +261,43 @@ bool DeltaGraph::Normalize(const UpdateBatch& batch, NormalizedBatch* out,
   return true;
 }
 
+namespace {
+
+// Sorted-vector set operations for Overlay::removed; each reports whether
+// it changed the list.
+bool InsertSorted(std::vector<VertexId>& list, VertexId w) {
+  auto it = std::lower_bound(list.begin(), list.end(), w);
+  if (it != list.end() && *it == w) return false;
+  list.insert(it, w);
+  return true;
+}
+
+bool EraseSorted(std::vector<VertexId>& list, VertexId w) {
+  auto it = std::lower_bound(list.begin(), list.end(), w);
+  if (it == list.end() || *it != w) return false;
+  list.erase(it);
+  return true;
+}
+
+}  // namespace
+
 void DeltaGraph::InstallEdge(VertexId u, VertexId v, Label edge_label) {
-  const uint64_t key = EdgeKey(u, v);
   Overlay& ou = MutableOverlay(u);
   Overlay& ov = MutableOverlay(v);
-  if (ou.removed.erase(key) > 0) {
-    ov.removed.erase(key);
-    --removed_count_;
+  if (ou.Removed(v)) {
     // Re-inserting a previously removed base edge: back to base state if
-    // the label matches; otherwise keep the removal and shadow with an
+    // the label matches; otherwise keep the removal and shadow it with an
     // added edge carrying the new label.
     Label base_label = 0;
     if (EdgeInBase(u, v, &base_label) && base_label == edge_label) {
+      EraseSorted(ou.removed, v);
+      EraseSorted(ov.removed, u);
+      --removed_count_;
       ++degree_[u];
       ++degree_[v];
       ++num_edges_;
       return;
     }
-    ou.removed.insert(key);
-    ov.removed.insert(key);
-    ++removed_count_;
   }
   for (auto& [w, l] : ou.added) {
     if (w == v) {
@@ -315,15 +337,12 @@ void DeltaGraph::UninstallEdge(VertexId u, VertexId v) {
     --num_edges_;
     return;
   }
-  if (EdgeInBase(u, v, nullptr)) {
-    const uint64_t key = EdgeKey(u, v);
-    if (ou.removed.insert(key).second) {
-      MutableOverlay(v).removed.insert(key);
-      ++removed_count_;
-      --degree_[u];
-      --degree_[v];
-      --num_edges_;
-    }
+  if (EdgeInBase(u, v, nullptr) && InsertSorted(ou.removed, v)) {
+    InsertSorted(MutableOverlay(v).removed, u);
+    ++removed_count_;
+    --degree_[u];
+    --degree_[v];
+    --num_edges_;
   }
 }
 
@@ -396,10 +415,9 @@ ApplyResult DeltaGraph::ApplyNormalized(
     result.error = msg;
     return result;
   };
-  // Structural validation only: the record was produced by Normalize at
-  // this exact version, so semantic checks (edge existed, labels differ,
-  // ...) would be redundant — but a corrupt-yet-CRC-valid or out-of-place
-  // record must never write out of bounds.
+  // The record was produced by Normalize at this exact version, but a
+  // corrupt-yet-CRC-valid or out-of-place one must be rejected before any
+  // change. Structural checks first: nothing below may index out of range.
   if (net.new_vertices.size() != new_vertex_labels.size()) {
     return fail("replay: new-vertex labels misaligned");
   }
@@ -429,6 +447,61 @@ ApplyResult DeltaGraph::ApplyNormalized(
       return fail("replay: removed vertex out of range");
     }
   }
+  // Semantic checks against the current state, in Install's order
+  // (removes, inserts, tombstones): a record that contradicts the graph
+  // would leave degree_ and num_edges_ disagreeing with the snapshot.
+  auto sorted_keys = [](const std::vector<EdgeUpdate>& edges) {
+    std::vector<uint64_t> keys;
+    keys.reserve(edges.size());
+    for (const EdgeUpdate& e : edges) keys.push_back(EdgeKey(e.u, e.v));
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  };
+  auto has_duplicate = [](const std::vector<uint64_t>& keys) {
+    return std::adjacent_find(keys.begin(), keys.end()) != keys.end();
+  };
+  const std::vector<uint64_t> removed_keys = sorted_keys(net.removes);
+  if (has_duplicate(removed_keys)) {
+    return fail("replay: remove of an absent edge");
+  }
+  for (const EdgeUpdate& e : net.removes) {
+    if (!HasEdge(e.u, e.v)) return fail("replay: remove of an absent edge");
+  }
+  if (has_duplicate(sorted_keys(net.inserts))) {
+    return fail("replay: insert of a present edge");
+  }
+  for (const EdgeUpdate& e : net.inserts) {
+    if ((e.u < NumVertices() && !alive_[e.u]) ||
+        (e.v < NumVertices() && !alive_[e.v])) {
+      return fail("replay: insert touches a removed vertex");
+    }
+    // A present edge may be re-inserted only after this record removed it
+    // (the encoding of a label change).
+    if (HasEdge(e.u, e.v) &&
+        !std::binary_search(removed_keys.begin(), removed_keys.end(),
+                            EdgeKey(e.u, e.v))) {
+      return fail("replay: insert of a present edge");
+    }
+  }
+  if (!net.removed_vertices.empty()) {
+    std::unordered_map<VertexId, int64_t> remaining;  // degree after edges
+    for (VertexId v : net.removed_vertices) remaining[v] = degree_[v];
+    auto adjust = [&](VertexId v, int64_t delta) {
+      auto it = remaining.find(v);
+      if (it != remaining.end()) it->second += delta;
+    };
+    for (const EdgeUpdate& e : net.removes) {
+      adjust(e.u, -1);
+      adjust(e.v, -1);
+    }
+    for (const EdgeUpdate& e : net.inserts) {
+      adjust(e.u, 1);
+      adjust(e.v, 1);
+    }
+    for (const auto& [v, degree] : remaining) {
+      if (degree != 0) return fail("replay: removed vertex keeps edges");
+    }
+  }
   return Install(net, new_vertex_labels);
 }
 
@@ -448,19 +521,84 @@ std::shared_ptr<const Graph> DeltaGraph::Materialize() const {
   if (snapshot_ != nullptr && snapshot_version_ == version_) {
     return snapshot_;
   }
-  std::vector<Label> labels = labels_;  // original space; tombstones keep
-                                        // kTombstoneLabel and stay isolated
-  auto labeled = CurrentEdges();
-  std::vector<Edge> edges;
-  std::vector<Label> edge_labels;
-  edges.reserve(labeled.size());
-  edge_labels.reserve(labeled.size());
-  for (const auto& [e, l] : labeled) {
-    edges.push_back(e);
-    edge_labels.push_back(l);
+  // One O(V + E) pass: each base row merged with its vertex's overlay,
+  // straight into CSR arrays. Alive vertices never change label and the
+  // dense remap preserves order, so a base row is already sorted by
+  // (original label, id) — the output order; only the per-vertex overlay
+  // lists need sorting. Tombstones keep kTombstoneLabel and have no edges.
+  const uint32_t n = NumVertices();
+  Graph::CsrParts parts;
+  parts.labels = labels_;
+  parts.offsets.resize(n + 1);
+  parts.adjacency.reserve(2 * num_edges_);
+  parts.edge_labels.reserve(2 * num_edges_);
+  auto before = [this](VertexId a, VertexId b) {
+    return labels_[a] != labels_[b] ? labels_[a] < labels_[b] : a < b;
+  };
+  std::vector<std::pair<VertexId, Label>> added;
+  std::vector<VertexId> gone;
+  for (VertexId v = 0; v < n; ++v) {
+    parts.offsets[v] = parts.adjacency.size();
+    std::span<const VertexId> row;
+    std::span<const Label> row_labels;
+    if (InBase(v)) {
+      row = base_->Neighbors(v);
+      row_labels = base_->NeighborEdgeLabels(v);
+    }
+    const Overlay* ov = OverlayFor(v);
+    added.clear();
+    gone.clear();
+    if (ov != nullptr) {
+      added = ov->added;
+      std::sort(added.begin(), added.end(),
+                [&](const auto& a, const auto& b) {
+                  return before(a.first, b.first);
+                });
+      // The removed entries in the base row's own (base label, id) order,
+      // so one forward walk skips them: their far end may be a tombstone
+      // now, whose current label no longer matches its position.
+      gone = ov->removed;
+      std::sort(gone.begin(), gone.end(), [&](VertexId a, VertexId b) {
+        const Label la = base_->label(a);
+        const Label lb = base_->label(b);
+        return la != lb ? la < lb : a < b;
+      });
+    }
+    size_t k = 0;
+    auto skip_removed = [&](size_t i) {
+      while (i < row.size() && k < gone.size() && row[i] == gone[k]) {
+        ++i;
+        ++k;
+      }
+      return i;
+    };
+    size_t i = skip_removed(0);
+    size_t j = 0;
+    while (i < row.size() || j < added.size()) {
+      if (j == added.size() ||
+          (i < row.size() && before(row[i], added[j].first))) {
+        parts.adjacency.push_back(row[i]);
+        parts.edge_labels.push_back(row_labels[i]);
+        i = skip_removed(i + 1);
+      } else {
+        parts.adjacency.push_back(added[j].first);
+        parts.edge_labels.push_back(added[j].second);
+        ++j;
+      }
+    }
+    assert(k == gone.size());  // removed entries are base-row entries
   }
-  snapshot_ = std::make_shared<const Graph>(
-      Graph::FromLabeledEdges(std::move(labels), edges, edge_labels));
+  parts.offsets[n] = parts.adjacency.size();
+  std::string error;
+  std::optional<Graph> g = Graph::FromCsrParts(std::move(parts), &error);
+  if (!g.has_value()) {
+    // ApplyNormalized rejects every record that could cause this, so it
+    // is a DeltaGraph bug; serving a wrong snapshot would be worse.
+    std::fprintf(stderr, "daf: DeltaGraph built an invalid snapshot: %s\n",
+                 error.c_str());
+    std::abort();
+  }
+  snapshot_ = std::make_shared<const Graph>(std::move(*g));
   snapshot_version_ = version_;
   return snapshot_;
 }

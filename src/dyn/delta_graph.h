@@ -1,11 +1,10 @@
 #ifndef DAF_DYN_DELTA_GRAPH_H_
 #define DAF_DYN_DELTA_GRAPH_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -104,15 +103,19 @@ class DeltaGraph {
   /// `new_vertex_labels` the labels of `net.new_vertices` in order. No
   /// re-normalization happens — re-deriving the net change from a raw
   /// batch would let removals shadow a label-change's reinsertion — and no
-  /// fault point is polled, so replay is deterministic. Only structural
-  /// preconditions are validated (id ranges, label/vertex alignment);
-  /// returns false with the graph untouched when they fail.
+  /// fault point is polled, so replay is deterministic. A record that
+  /// does not fit the graph is rejected with the graph and version
+  /// untouched: ids out of range, misaligned labels, a remove of an absent
+  /// edge, an insert of a present edge (unless the record removes it
+  /// first — a label change), an insert touching a tombstone, or a
+  /// removed vertex that would keep edges.
   ApplyResult ApplyNormalized(const NormalizedBatch& net,
                               const std::vector<Label>& new_vertex_labels);
 
-  /// Rebuilds the base CSR from the current state and clears the overlay.
-  /// Ids are preserved; tombstones stay as isolated kTombstoneLabel
-  /// vertices. Invalidates nothing — reads before/after agree.
+  /// Makes the current snapshot (Materialize) the new base and clears the
+  /// overlay. Ids are preserved; tombstones stay as isolated
+  /// kTombstoneLabel vertices. Invalidates nothing — reads before/after
+  /// agree, and the snapshot stays cached for the current version.
   void Compact();
 
   // --- Read interface (original label space).
@@ -148,9 +151,7 @@ class DeltaGraph {
       auto neighbors = b.Neighbors(v);
       auto elabels = b.NeighborEdgeLabels(v);
       for (size_t i = 0; i < neighbors.size(); ++i) {
-        if (ov != nullptr && ov->removed.count(EdgeKey(v, neighbors[i]))) {
-          continue;
-        }
+        if (ov != nullptr && ov->Removed(neighbors[i])) continue;
         if (!fn(neighbors[i], elabels[i])) return;
       }
     }
@@ -171,14 +172,15 @@ class DeltaGraph {
   std::vector<VertexId> VerticesWithOriginalLabel(Label l) const;
 
   /// An immutable CSR snapshot of the current state (ids preserved,
-  /// tombstones as isolated kTombstoneLabel vertices). Cached: repeated
-  /// calls at the same version return the same instance, and ApplyBatch
-  /// invalidates the cache, so a static workload pays for at most one
-  /// materialization per version actually queried.
+  /// tombstones as isolated kTombstoneLabel vertices). Built in O(V + E)
+  /// (plus sorting each vertex's overlay lists) by merging every base row
+  /// with its overlay into Graph::FromCsrParts, which re-validates the
+  /// result. Cached: repeated calls at the same version return the same
+  /// instance, and ApplyBatch invalidates the cache, so a static workload
+  /// pays for at most one materialization per version actually queried.
   std::shared_ptr<const Graph> Materialize() const;
 
-  /// Current edge list with labels ((u, v) with u < v), for tests and
-  /// compaction.
+  /// Current edge list with labels ((u, v) with u < v), for tests.
   std::vector<std::pair<Edge, Label>> CurrentEdges() const;
 
  private:
@@ -193,22 +195,34 @@ class DeltaGraph {
                       const std::vector<Label>& new_vertex_labels);
 
   /// Per-vertex overlay, stored *symmetrically*: an added edge (u, v)
-  /// appears in both endpoints' `added` lists and a removed base edge's
-  /// key in both `removed` sets, so every per-vertex read is local.
+  /// appears in both endpoints' `added` lists and a removed base edge in
+  /// both endpoints' `removed` lists, so every per-vertex read is local.
   struct Overlay {
     /// Edges added since the last compaction: (neighbor, edge label),
     /// unordered. Small per vertex; linear scans are fine.
     std::vector<std::pair<VertexId, Label>> added;
-    /// Base edges removed since the last compaction, by edge key.
-    std::unordered_set<uint64_t> removed;
+    /// Far ends of the base edges removed since the last compaction,
+    /// ascending. A sorted vector rather than a hash set: a lookup is a
+    /// binary search, and replaying or compacting a large overlay
+    /// allocates and frees per vertex instead of per edge.
+    std::vector<VertexId> removed;
+
+    bool Removed(VertexId w) const {
+      return !removed.empty() &&
+             std::binary_search(removed.begin(), removed.end(), w);
+    }
   };
 
   bool InBase(VertexId v) const { return v < base_->NumVertices(); }
   const Overlay* OverlayFor(VertexId v) const {
-    auto it = overlay_.find(v);
-    return it == overlay_.end() ? nullptr : &it->second;
+    return v < overlay_.size() ? &overlay_[v] : nullptr;
   }
-  Overlay& MutableOverlay(VertexId v) { return overlay_[v]; }
+  /// Grows the overlay to cover every current vertex at once, so a
+  /// reference returned for one endpoint survives the call for the other.
+  Overlay& MutableOverlay(VertexId v) {
+    if (overlay_.size() < NumVertices()) overlay_.resize(NumVertices());
+    return overlay_[v];
+  }
 
   /// Dense label of original label `l` in the base snapshot, or
   /// query_extract's kNoSuchLabel when absent from the base.
@@ -226,7 +240,7 @@ class DeltaGraph {
   std::vector<Label> labels_;   // original space; kTombstoneLabel when dead
   std::vector<uint8_t> alive_;
   std::vector<uint32_t> degree_;
-  std::unordered_map<VertexId, Overlay> overlay_;
+  std::vector<Overlay> overlay_;  // by vertex id; empty after compaction
   uint64_t num_edges_ = 0;
   uint64_t added_count_ = 0;    // overlay insertions
   uint64_t removed_count_ = 0;  // overlay removals of base edges

@@ -11,7 +11,7 @@ namespace daf::dyn {
 
 /// One edge operation of an update batch. Endpoints are DeltaGraph vertex
 /// ids; `edge_label` is compared verbatim (no dense remapping), 0 being the
-/// "unlabeled" label, exactly as in Graph::FromLabeledEdges.
+/// "unlabeled" label, exactly as in Graph's edge labels.
 struct EdgeUpdate {
   VertexId u = 0;
   VertexId v = 0;

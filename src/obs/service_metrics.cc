@@ -140,6 +140,9 @@ void WriteServiceMetrics(JsonWriter& w, const ServiceMetricsSnapshot& m) {
   w.Key("wal_records_replayed").Uint(m.persist_recovery_wal_replayed);
   w.Key("wal_truncated_bytes").Uint(m.persist_recovery_wal_truncated_bytes);
   w.Key("recovery_ms").Double(m.persist_recovery_ms);
+  w.Key("load_ms").Double(m.persist_recovery_load_ms);
+  w.Key("replay_ms").Double(m.persist_recovery_replay_ms);
+  w.Key("build_ms").Double(m.persist_recovery_build_ms);
   w.EndObject();
   w.EndObject();
   w.Key("wait_latency");

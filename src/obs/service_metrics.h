@@ -121,7 +121,10 @@ struct ServiceMetricsSnapshot {
   uint64_t persist_recovery_snapshot_version = 0;
   uint64_t persist_recovery_wal_replayed = 0;
   uint64_t persist_recovery_wal_truncated_bytes = 0;
-  double persist_recovery_ms = 0;
+  double persist_recovery_ms = 0;  // load + replay + build
+  double persist_recovery_load_ms = 0;
+  double persist_recovery_replay_ms = 0;
+  double persist_recovery_build_ms = 0;
   LatencyHistogram wait;   // submission -> worker pickup
   LatencyHistogram run;    // worker pickup -> terminal state
   LatencyHistogram total;  // submission -> terminal state

@@ -23,7 +23,14 @@ struct RecoveryInfo {
   uint64_t wal_records_replayed = 0;
   uint64_t wal_records_skipped = 0;  // records at/below the snapshot version
   uint64_t wal_truncated_bytes = 0;  // torn tail removed from the last log
+  /// Wall time of Open's recovery, and its three phases (they sum to it):
+  /// listing + snapshot load, WAL scan + replay into the overlay (with
+  /// torn-tail repair and reopening the log), and the one snapshot build
+  /// that folds the replayed overlay into a fresh base.
   double recovery_ms = 0;
+  double load_ms = 0;
+  double replay_ms = 0;
+  double build_ms = 0;
 };
 
 /// Counters for the metrics JSON.
@@ -57,7 +64,9 @@ struct PersistStats {
 ///     error, not a silent empty start), then every WAL segment in order —
 ///     records at or below the snapshot version are skipped, the rest must
 ///     be consecutive. A torn tail in the final segment is truncated; torn
-///     or corrupt bytes anywhere else are a typed error.
+///     or corrupt bytes anywhere else are a typed error. Replay never
+///     compacts; one snapshot build at the end folds the tail into the
+///     recovered graph's base, and that snapshot stays cached.
 ///
 /// Concurrency: writer methods (AppendBatch/Rollback/Checkpoint/Sync) must
 /// be externally serialized — MatchService's update mutex does — while
@@ -90,9 +99,14 @@ class DurableStore {
   /// valid exactly once.
   bool has_state() const { return recovered_graph_.has_value(); }
 
-  /// Moves out the recovered DeltaGraph (version restored, tombstones
-  /// dead, WAL replayed under DeltaGraph's default compaction policy) and
-  /// hands it the caller's `options` from here on, so it compacts on the
+  /// The recovered DeltaGraph while the store still owns it: version
+  /// restored, tombstones dead, WAL replayed and compacted, so its overlay
+  /// is empty and Materialize() returns the snapshot built at Open.
+  /// Precondition: has_state().
+  const dyn::DeltaGraph& recovered_graph() const { return *recovered_graph_; }
+
+  /// Moves out the recovered DeltaGraph (see recovered_graph()) and hands
+  /// it the caller's `options` from here on, so it compacts on the
   /// caller's cadence. Precondition: has_state().
   dyn::DeltaGraph TakeRecoveredGraph(
       const dyn::DeltaGraph::Options& options = {});

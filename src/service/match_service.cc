@@ -770,6 +770,9 @@ obs::ServiceMetricsSnapshot MatchService::Metrics() const {
     m.persist_recovery_wal_replayed = ps.recovery.wal_records_replayed;
     m.persist_recovery_wal_truncated_bytes = ps.recovery.wal_truncated_bytes;
     m.persist_recovery_ms = ps.recovery.recovery_ms;
+    m.persist_recovery_load_ms = ps.recovery.load_ms;
+    m.persist_recovery_replay_ms = ps.recovery.replay_ms;
+    m.persist_recovery_build_ms = ps.recovery.build_ms;
   }
   std::lock_guard<std::mutex> lock(metrics_mutex_);
   m.dyn_batches_applied = dyn_batches_applied_;

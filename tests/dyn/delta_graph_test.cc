@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "graph/generators.h"
@@ -194,13 +195,41 @@ TEST(DeltaGraphTest, MaterializePreservesIdsAndLabels) {
   }
 }
 
-TEST(DeltaGraphTest, RandomizedDifferentialAgainstMaterialized) {
-  Rng rng(20260808);
-  Graph base = testing::RandomDataGraph(40, 90, 3, rng);
-  DeltaGraph::Options options;
-  options.compaction_min_edges = 32;  // force frequent compaction
-  options.compaction_ratio = 0.15;
-  DeltaGraph dg(std::move(base), options);
+/// Every snapshot array equal to the reference build: Graph's sorting
+/// constructor over CurrentEdges() with the current original labels.
+void ExpectSnapshotMatchesReference(const DeltaGraph& dg) {
+  std::vector<Label> labels(dg.NumVertices());
+  for (VertexId v = 0; v < dg.NumVertices(); ++v) {
+    labels[v] = dg.OriginalLabel(v);
+  }
+  std::vector<Edge> edges;
+  std::vector<Label> edge_labels;
+  for (const auto& [e, l] : dg.CurrentEdges()) {
+    edges.push_back(e);
+    edge_labels.push_back(l);
+  }
+  const Graph::CsrParts want =
+      Graph::FromLabeledEdges(std::move(labels), edges, edge_labels)
+          .ToCsrParts();
+  const Graph::CsrParts got = dg.Materialize()->ToCsrParts();
+  EXPECT_EQ(got.labels, want.labels);
+  EXPECT_EQ(got.offsets, want.offsets);
+  EXPECT_EQ(got.adjacency, want.adjacency);
+  EXPECT_EQ(got.edge_labels, want.edge_labels);
+}
+
+/// Random batches (vertex adds, edge removes, tombstones, inserts and
+/// edge-label changes) against a base whose labels are odd, while added
+/// vertices draw from 0..6: even labels are new and fall between existing
+/// ones, shifting the dense remap. After every batch the snapshot must
+/// agree with the overlay reads and, array by array, with the reference.
+void RandomizedDifferential(DeltaGraph::Options options, uint64_t seed) {
+  Rng rng(seed);
+  Graph::CsrParts parts = testing::RandomDataGraph(40, 90, 3, rng).ToCsrParts();
+  for (Label& l : parts.labels) l = 2 * l + 1;
+  std::optional<Graph> base = Graph::FromCsrParts(std::move(parts), nullptr);
+  ASSERT_TRUE(base.has_value());
+  DeltaGraph dg(std::move(*base), options);
 
   for (int round = 0; round < 60; ++round) {
     UpdateBatch batch;
@@ -209,7 +238,7 @@ TEST(DeltaGraphTest, RandomizedDifferentialAgainstMaterialized) {
       const uint32_t n = dg.NumVertices();
       switch (rng.NextU64() % 10) {
         case 0:
-          batch.AddVertex(static_cast<Label>(rng.NextU64() % 4));
+          batch.AddVertex(static_cast<Label>(rng.NextU64() % 7));
           break;
         case 1:
         case 2: {
@@ -262,7 +291,94 @@ TEST(DeltaGraphTest, RandomizedDifferentialAgainstMaterialized) {
       }
     }
     EXPECT_EQ(count, edge_map.size());
+    ExpectSnapshotMatchesReference(dg);
   }
+}
+
+TEST(DeltaGraphTest, RandomizedDifferentialAgainstMaterialized) {
+  DeltaGraph::Options options;
+  options.compaction_min_edges = 32;  // force frequent compaction
+  options.compaction_ratio = 0.15;
+  RandomizedDifferential(options, 20260808);
+}
+
+TEST(DeltaGraphTest, RandomizedDifferentialWithoutCompaction) {
+  // The overlay only grows: every snapshot merges the original base with
+  // all sixty batches.
+  DeltaGraph::Options options;
+  options.compaction_min_edges = UINT64_MAX;
+  for (uint64_t seed : {20260808u, 7u, 1000003u}) {
+    SCOPED_TRACE(seed);
+    RandomizedDifferential(options, seed);
+  }
+}
+
+/// Applies a hand-built record that contradicts `dg` and checks it is
+/// rejected with the graph, version and cached snapshot untouched.
+void ExpectRejected(DeltaGraph& dg, const NormalizedBatch& net) {
+  const uint64_t version = dg.version();
+  const uint64_t edges = dg.NumEdges();
+  const auto edge_map = EdgeMap(dg);
+  const std::shared_ptr<const Graph> snap = dg.Materialize();
+  const ApplyResult r = dg.ApplyNormalized(net, {});
+  EXPECT_FALSE(r.ok);
+  EXPECT_FALSE(r.error.empty());
+  EXPECT_EQ(r.version, version);
+  EXPECT_EQ(dg.version(), version);
+  EXPECT_EQ(dg.NumEdges(), edges);
+  EXPECT_EQ(EdgeMap(dg), edge_map);
+  EXPECT_EQ(dg.Materialize().get(), snap.get());
+  for (VertexId v = 0; v < dg.NumVertices(); ++v) {
+    EXPECT_EQ(dg.Degree(v), snap->degree(v)) << "vertex " << v;
+  }
+}
+
+TEST(DeltaGraphTest, ApplyNormalizedRejectsRecordsThatContradictTheGraph) {
+  // SmallGraph: edges 0-1, 1-2, 2-3, 1-4.
+  DeltaGraph dg(SmallGraph());
+  {
+    SCOPED_TRACE("remove of an absent edge");
+    NormalizedBatch net;
+    net.removes.push_back({0, 2, 0});
+    ExpectRejected(dg, net);
+  }
+  {
+    SCOPED_TRACE("the same remove twice");
+    NormalizedBatch net;
+    net.removes.push_back({0, 1, 0});
+    net.removes.push_back({1, 0, 0});
+    ExpectRejected(dg, net);
+  }
+  {
+    SCOPED_TRACE("insert of a present edge");
+    NormalizedBatch net;
+    net.inserts.push_back({0, 1, 5});
+    ExpectRejected(dg, net);
+  }
+  {
+    SCOPED_TRACE("removed vertex that keeps an edge");
+    NormalizedBatch net;
+    net.removed_vertices.push_back(4);
+    ExpectRejected(dg, net);
+  }
+  {
+    SCOPED_TRACE("insert onto a tombstone");
+    NormalizedBatch tombstone;
+    tombstone.removes.push_back({1, 4, 0});
+    tombstone.removed_vertices.push_back(4);
+    ASSERT_TRUE(dg.ApplyNormalized(tombstone, {}).ok);
+    NormalizedBatch net;
+    net.inserts.push_back({0, 4, 0});
+    ExpectRejected(dg, net);
+  }
+  // The label-change encoding stays valid: remove then re-insert.
+  NormalizedBatch relabel;
+  relabel.removes.push_back({0, 1, 0});
+  relabel.inserts.push_back({0, 1, 5});
+  const ApplyResult r = dg.ApplyNormalized(relabel, {});
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_TRUE(dg.HasEdgeWithLabel(0, 1, 5));
+  ExpectSnapshotMatchesReference(dg);
 }
 
 }  // namespace

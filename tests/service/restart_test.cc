@@ -16,6 +16,7 @@
 #include "tests/persist/persist_test_util.h"
 #include "tests/test_util.h"
 #include "util/fault_inject.h"
+#include "util/rng.h"
 
 namespace daf::service {
 namespace {
@@ -251,6 +252,81 @@ TEST_F(RestartTest, RecoveredGraphCompactsOnServiceCadence) {
   // compacts, and compaction writes a checkpoint.
   EXPECT_GT(service.Metrics().persist_snapshots_written, written);
   EXPECT_EQ(service.GraphVersion(), 1u);
+}
+
+TEST_F(RestartTest, RecoveryBuildsOneSnapshotTheServiceReuses) {
+  ScopedTempDir dir;
+  // A base above DeltaGraph's default compaction floor (4096 edges) and a
+  // tail that crosses its 0.25 ratio at least twice, ending mid-threshold.
+  Rng rng(20261017);
+  dyn::DeltaGraph mirror(daf::testing::RandomDataGraph(1500, 6000, 4, rng));
+  ASSERT_GE(mirror.NumEdges(), 4096u);
+  uint64_t logged = 0;
+  {
+    auto store = OpenStore(dir.path());
+    std::string error;
+    ASSERT_TRUE(store->InitializeFresh(*mirror.Materialize(), 0, &error))
+        << error;
+    int compactions = 0;
+    for (int round = 0; compactions < 2 || round % 4 != 3; ++round) {
+      ASSERT_LT(round, 100);
+      dyn::UpdateBatch batch;
+      const uint32_t n = mirror.NumVertices();
+      for (int i = 0; i < 300; ++i) {
+        const auto u = static_cast<VertexId>(rng.UniformInt(n));
+        const auto v = static_cast<VertexId>(rng.UniformInt(n));
+        if (!mirror.Alive(u) || !mirror.Alive(v)) continue;
+        if (i % 3 == 0) {
+          batch.RemoveEdge(u, v);  // mostly absent: ignored by Normalize
+        } else {
+          batch.InsertEdge(u, v, static_cast<Label>(i % 2));  // relabels too
+        }
+      }
+      if (round % 5 == 1) batch.AddVertex(static_cast<Label>(round));
+      if (round % 5 == 2) {
+        const auto v = static_cast<VertexId>(rng.UniformInt(n));
+        if (mirror.Alive(v)) batch.RemoveVertex(v);
+      }
+      dyn::NormalizedBatch net;
+      ASSERT_TRUE(mirror.Normalize(batch, &net, &error)) << error;
+      ASSERT_TRUE(store->AppendBatch(net, batch.add_vertices,
+                                     mirror.version() + 1, &error))
+          << error;
+      const dyn::ApplyResult r =
+          mirror.ApplyNormalized(net, batch.add_vertices);
+      ASSERT_TRUE(r.ok) << r.error;
+      compactions += r.compacted ? 1 : 0;
+      ++logged;
+    }
+    ASSERT_GT(mirror.OverlayEdges(), 0u);
+  }
+
+  auto store = OpenStore(dir.path());
+  ASSERT_TRUE(store->has_state());
+  const persist::RecoveryInfo& info = store->recovery();
+  EXPECT_EQ(info.wal_records_replayed, logged);
+  EXPECT_NEAR(info.load_ms + info.replay_ms + info.build_ms, info.recovery_ms,
+              1.0);
+  const dyn::DeltaGraph& recovered = store->recovered_graph();
+  EXPECT_EQ(recovered.version(), mirror.version());
+  EXPECT_EQ(recovered.OverlayEdges(), 0u);
+  const std::shared_ptr<const Graph> snapshot = recovered.Materialize();
+  const Graph::CsrParts got = snapshot->ToCsrParts();
+  const Graph::CsrParts want = mirror.Materialize()->ToCsrParts();
+  EXPECT_EQ(got.labels, want.labels);
+  EXPECT_EQ(got.offsets, want.offsets);
+  EXPECT_EQ(got.adjacency, want.adjacency);
+  EXPECT_EQ(got.edge_labels, want.edge_labels);
+
+  // The service's first job reads the snapshot recovery built.
+  MatchService service(Graph(), DurableOptions(store));
+  EXPECT_EQ(service.Snapshot().get(), snapshot.get());
+  const auto m = service.Metrics();
+  EXPECT_EQ(m.persist_recovery_wal_replayed, logged);
+  EXPECT_EQ(m.persist_recovery_ms, info.recovery_ms);
+  EXPECT_EQ(m.persist_recovery_load_ms, info.load_ms);
+  EXPECT_EQ(m.persist_recovery_replay_ms, info.replay_ms);
+  EXPECT_EQ(m.persist_recovery_build_ms, info.build_ms);
 }
 
 TEST_F(RestartTest, MemoryOnlyServiceReportsPersistDisabled) {
