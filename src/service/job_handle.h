@@ -86,6 +86,11 @@ class JobHandle {
   /// is terminal.
   CacheOutcome cache_outcome() const { return state_->cache_outcome; }
 
+  /// The graph version of the snapshot the job matched against: Result()
+  /// equals a from-scratch match at that version (0 when the job never
+  /// ran). Valid once the job is terminal.
+  uint64_t graph_version() const { return state_->graph_version; }
+
  private:
   friend class MatchService;
   explicit JobHandle(internal::JobStatePtr state)

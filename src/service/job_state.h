@@ -23,9 +23,9 @@ namespace daf::service::internal {
 /// Locking: fields in the "guarded" block are protected by `mutex`; the
 /// identity block is immutable after Submit; `status` and `cancel` are
 /// atomics readable without the lock. The worker publishes `result`,
-/// `profile`, `wait_ms`, and `run_ms` before setting `finished` under the
-/// lock, so any reader that observed `finished` (or a terminal `status`
-/// via JobHandle::Wait) reads them race-free.
+/// `profile`, `wait_ms`, `run_ms` and `graph_version` before setting
+/// `finished` under the lock, so any reader that observed `finished` (or a
+/// terminal `status` via JobHandle::Wait) reads them race-free.
 struct JobState {
   // --- Identity: immutable after Submit.
   uint64_t id = 0;
@@ -59,6 +59,7 @@ struct JobState {
   uint64_t peak_bytes = 0;          // budget high-water of the run
   uint64_t budget_rejections = 0;   // over-limit charges of the run
   CacheOutcome cache_outcome = CacheOutcome::kNone;  // plan/CS cache verdict
+  uint64_t graph_version = 0;    // version of the snapshot the run matched
   MatchResult result;
   obs::SearchProfile profile;
 
