@@ -124,6 +124,8 @@ void WriteServiceMetrics(JsonWriter& w, const ServiceMetricsSnapshot& m) {
   w.Key("resyncs").Uint(m.dyn_resyncs);
   w.Key("notify_latency");
   WriteHistogram(w, m.notify);
+  w.Key("publish_ms");
+  WriteHistogram(w, m.publish);
   w.EndObject();
   w.Key("persist").BeginObject();
   w.Key("enabled").Bool(m.persist_enabled);

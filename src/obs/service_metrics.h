@@ -129,6 +129,7 @@ struct ServiceMetricsSnapshot {
   LatencyHistogram run;    // worker pickup -> terminal state
   LatencyHistogram total;  // submission -> terminal state
   LatencyHistogram notify;  // per-subscription delta notification latency
+  LatencyHistogram publish;  // per-batch snapshot materialize + publish
 };
 
 /// Emits a snapshot as an object value at the writer's current position.

@@ -15,6 +15,7 @@
 #include "persist/store.h"
 #include "service/admission_queue.h"
 #include "util/memory_budget.h"
+#include "util/publish_cell.h"
 #include "service/context_pool.h"
 #include "service/job.h"
 #include "service/job_handle.h"
@@ -178,9 +179,12 @@ class MatchService {
   /// dirty region is small, by rebuild otherwise), and each subscription's
   /// queue receives the exact embeddings the batch destroyed and created.
   /// Synchronous — when it returns, the deltas are pollable. Update batches
-  /// are serialized against each other and against Subscribe; match jobs
-  /// keep running concurrently against the snapshot of the version they
-  /// were dispatched at.
+  /// are serialized against each other and against Subscribe, but never
+  /// against jobs: the batch ends by materializing the new version and
+  /// publishing {snapshot, version} in one atomic store, after every
+  /// subscription's queue holds its deltas. Jobs dispatched before the
+  /// publish match the previous version; a rejected batch publishes
+  /// nothing.
   UpdateOutcome ApplyUpdates(const dyn::UpdateBatch& batch);
 
   /// Registers a standing query. The job's query graph and the CS-shaping
@@ -201,13 +205,13 @@ class MatchService {
   /// ApplyUpdates — but operators may want one before a planned restart.
   bool Checkpoint(std::string* error = nullptr);
 
-  /// Immutable CSR snapshot of the current graph version. Lazy and cached:
-  /// repeated calls without intervening updates return the same instance,
-  /// and applying a batch only pays for materialization when the next job
-  /// or snapshot call actually needs it.
+  /// Immutable CSR snapshot of the published graph version, read without
+  /// waiting on an update batch. Repeated calls without an intervening
+  /// update return the same instance.
   std::shared_ptr<const Graph> Snapshot() const;
 
-  /// Number of update batches applied so far (the initial graph is v0).
+  /// Version of the published snapshot: the number of update batches
+  /// applied so far (the initial graph is v0). Never waits on a batch.
   uint64_t GraphVersion() const;
 
   /// Standing queries currently registered (unsubscribed ones linger until
@@ -229,8 +233,15 @@ class MatchService {
   /// them (once each) and bumps watchdog_fires.
   void WatchdogLoop();
   void ProcessJob(const internal::JobStatePtr& job);
-  /// Snapshot + version, read consistently under graph_mutex_.
-  std::pair<std::shared_ptr<const Graph>, uint64_t> SnapshotVersion() const;
+  /// An immutable graph snapshot and the version it materializes; jobs
+  /// read the pair as a unit.
+  struct Published {
+    std::shared_ptr<const Graph> graph;
+    uint64_t version = 0;
+  };
+  /// Materializes dgraph_'s current version and publishes it (writer side,
+  /// under update_mutex_, or in the constructor).
+  void Publish();
   /// Pushes one embedding into the job's stream buffer, blocking on
   /// backpressure; false when the consumer closed or the job was cancelled.
   bool DeliverEmbedding(const internal::JobStatePtr& job,
@@ -248,12 +259,14 @@ class MatchService {
   /// Declared before dgraph_: InitGraph consults it. Writer calls are
   /// serialized by update_mutex_; Stats() may race them.
   std::shared_ptr<persist::DurableStore> store_;
-  /// The data graph. Mutated only under update_mutex_ (ApplyUpdates /
-  /// Subscribe); graph_mutex_ additionally guards every access that can
-  /// touch the lazily cached materialization (Snapshot, the mutation window
-  /// of the install, and CS maintenance, whose rebuild path materializes).
+  /// The data graph: writer-only state, read and mutated only under
+  /// update_mutex_ (ApplyUpdates, Subscribe, Checkpoint, GracefulShutdown)
+  /// or in the constructor. Jobs never touch it; they read published_.
   dyn::DeltaGraph dgraph_;
-  mutable std::mutex graph_mutex_;
+  /// What jobs match against: replaced (never mutated) by Publish at the
+  /// end of every applied batch, so a job holding an older pair keeps its
+  /// snapshot alive.
+  PublishCell<Published> published_;
   /// Serializes update batches and subscription registration end to end
   /// (mutable: metric snapshots count active subscriptions under it).
   mutable std::mutex update_mutex_;
@@ -307,6 +320,7 @@ class MatchService {
   uint64_t dyn_embeddings_destroyed_ = 0;
   uint64_t dyn_resyncs_ = 0;
   obs::LatencyHistogram notify_hist_;  // per-subscription notify latency
+  obs::LatencyHistogram publish_hist_;  // per-batch materialize + publish
   // Wakes the watchdog early on shutdown (waits on metrics_mutex_).
   std::condition_variable watchdog_cv_;
 };

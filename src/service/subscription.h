@@ -55,6 +55,9 @@ struct UpdateOutcome {
   uint64_t embeddings_destroyed = 0;  // across all subscriptions
   uint64_t subscriptions_notified = 0;
   uint64_t resyncs = 0;  // notifications degraded to a resync marker
+  /// Writer time spent making the new version visible to jobs: the eager
+  /// materialization of the snapshot plus the atomic publish.
+  double publish_ms = 0;
 };
 
 namespace internal {

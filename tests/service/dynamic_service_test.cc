@@ -1,14 +1,17 @@
 // MatchService dynamic-graph tests: ApplyUpdates + Subscribe delta
-// streaming, per-version snapshot isolation for ordinary jobs, query-cache
-// invalidation across graph versions (a stale hit must be impossible),
-// bounded-queue resync semantics, the delta_apply / subscriber_notify fault
-// points, and the dynamics metrics block.
+// streaming, per-version snapshot isolation for ordinary jobs, the publish
+// invariants of the {snapshot, version} pair, query-cache invalidation
+// across graph versions (a stale hit must be impossible), bounded-queue
+// resync semantics, the delta_apply / subscriber_notify fault points, and
+// the dynamics metrics block.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "dyn/delta_graph.h"
 #include "dyn/update_batch.h"
 #include "service/match_service.h"
 #include "tests/test_util.h"
@@ -138,6 +141,72 @@ TEST_F(DynamicServiceTest, JobsSeeTheVersionTheyWereDispatchedAt) {
   EXPECT_EQ(service.GraphVersion(), 1u);
   EXPECT_EQ(service.Snapshot()->NumVertices(), 5u);
   EXPECT_EQ(MatchNow(service, MakePath({1, 2, 3})).size(), 2u);
+}
+
+TEST_F(DynamicServiceTest, ApplyUpdatesPublishesTheVersionItReturns) {
+  MatchService service(SmallData(), {.num_workers = 1});
+  SubscriptionHandle sub = service.Subscribe(PathJob());
+  ASSERT_TRUE(sub.ok());
+  dyn::DeltaGraph shadow(SmallData());
+  for (int i = 0; i < 4; ++i) {
+    SCOPED_TRACE("batch " + std::to_string(i));
+    dyn::UpdateBatch batch;
+    if (i % 2 == 0) {
+      batch.InsertEdge(1, 3);
+    } else {
+      batch.RemoveEdge(1, 3);
+    }
+    if (i == 2) batch.AddVertex(1).InsertEdge(4, 1);
+    const UpdateOutcome out = service.ApplyUpdates(batch);
+    ASSERT_TRUE(out.ok) << out.error;
+    ASSERT_TRUE(shadow.ApplyBatch(batch).ok);
+    ASSERT_EQ(out.version, shadow.version());
+
+    // When ApplyUpdates returns v, v is published: its deltas are queued,
+    // and the snapshot is built once, on the writer, and shared by every
+    // read until the next batch.
+    EXPECT_EQ(service.GraphVersion(), out.version);
+    EXPECT_EQ(sub.PendingBatches(), static_cast<size_t>(i + 1));
+    const std::shared_ptr<const Graph> published = service.Snapshot();
+    const Graph::CsrParts got = published->ToCsrParts();
+    const Graph::CsrParts want = shadow.Materialize()->ToCsrParts();
+    EXPECT_EQ(got.labels, want.labels);
+    EXPECT_EQ(got.offsets, want.offsets);
+    EXPECT_EQ(got.adjacency, want.adjacency);
+    JobHandle h = service.Submit(PathJob());
+    EXPECT_EQ(h.Wait(), JobStatus::kDone);
+    EXPECT_EQ(h.graph_version(), out.version);
+    EXPECT_EQ(service.Snapshot().get(), published.get());
+    EXPECT_GE(out.publish_ms, 0.0);
+  }
+  // One publish per applied batch, timed; the constructor's is not a batch.
+  EXPECT_EQ(service.Metrics().publish.count(), 4u);
+}
+
+TEST_F(DynamicServiceTest, RejectedBatchLeavesThePublishedPairUnchanged) {
+  MatchService service(SmallData(), {.num_workers = 1});
+  const std::shared_ptr<const Graph> before = service.Snapshot();
+
+  dyn::UpdateBatch invalid;
+  invalid.InsertEdge(0, 99);  // no vertex 99: Normalize rejects
+  EXPECT_FALSE(service.ApplyUpdates(invalid).ok);
+  EXPECT_EQ(service.GraphVersion(), 0u);
+  EXPECT_EQ(service.Snapshot().get(), before.get());
+
+  FaultInjector::FireNth("delta_apply", 1);
+  dyn::UpdateBatch batch;
+  batch.InsertEdge(1, 3);
+  EXPECT_FALSE(service.ApplyUpdates(batch).ok);
+  EXPECT_EQ(service.GraphVersion(), 0u);
+  EXPECT_EQ(service.Snapshot().get(), before.get());
+  JobHandle h = service.Submit(PathJob());
+  EXPECT_EQ(h.Wait(), JobStatus::kDone);
+  EXPECT_EQ(h.graph_version(), 0u);
+  EXPECT_EQ(h.Result().embeddings, 1u);
+
+  const auto m = service.Metrics();
+  EXPECT_EQ(m.dyn_batches_rejected, 2u);
+  EXPECT_EQ(m.publish.count(), 0u);
 }
 
 TEST_F(DynamicServiceTest, QueryCacheCannotServeStaleGraph) {
@@ -271,10 +340,12 @@ TEST_F(DynamicServiceTest, MetricsDynamicsBlock) {
   EXPECT_EQ(m.dyn_cs_incremental + m.dyn_cs_rebuilds, 1u);
   EXPECT_EQ(m.dyn_embeddings_created, 1u);
   EXPECT_EQ(m.notify.count(), 1u);
+  EXPECT_EQ(m.publish.count(), 1u);
 
   const std::string json = obs::ServiceMetricsToJson(m);
   EXPECT_NE(json.find("\"dynamic\""), std::string::npos);
   EXPECT_NE(json.find("\"notify_latency\""), std::string::npos);
+  EXPECT_NE(json.find("\"publish_ms\""), std::string::npos);
 }
 
 }  // namespace

@@ -318,10 +318,20 @@ TEST_F(RestartTest, RecoveryBuildsOneSnapshotTheServiceReuses) {
   EXPECT_EQ(got.adjacency, want.adjacency);
   EXPECT_EQ(got.edge_labels, want.edge_labels);
 
-  // The service's first job reads the snapshot recovery built.
+  // The constructor publishes the snapshot recovery built, at the
+  // recovered version, without building it again; the first job matches
+  // exactly that pair.
   MatchService service(Graph(), DurableOptions(store));
   EXPECT_EQ(service.Snapshot().get(), snapshot.get());
+  EXPECT_EQ(service.GraphVersion(), mirror.version());
+  QueryJob job;
+  job.query = MakePath({0, 1});
+  JobHandle first = service.Submit(std::move(job));
+  EXPECT_EQ(first.Wait(), JobStatus::kDone);
+  EXPECT_EQ(first.graph_version(), mirror.version());
+  EXPECT_EQ(service.Snapshot().get(), snapshot.get());
   const auto m = service.Metrics();
+  EXPECT_EQ(m.publish.count(), 0u);
   EXPECT_EQ(m.persist_recovery_wal_replayed, logged);
   EXPECT_EQ(m.persist_recovery_ms, info.recovery_ms);
   EXPECT_EQ(m.persist_recovery_load_ms, info.load_ms);
