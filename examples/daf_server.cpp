@@ -9,7 +9,8 @@
 // --data accepts either supported graph format (text or a DAFS snapshot —
 // see graph_convert). With --data-dir the service is
 // durable (docs/PERSISTENCE.md): every update batch is WAL-appended before
-// it applies, compaction rolls the log into a binary snapshot, and a
+// it applies, the log rolls into a binary snapshot once the tail a restart
+// would replay outgrows a quarter of the snapshot (64 KiB at least), and a
 // restart recovers the newest snapshot plus the WAL tail — the preloaded
 // graph only seeds the very first run. --fsync picks the durability/
 // latency trade-off (every|interval|off). SIGTERM/SIGINT trigger a

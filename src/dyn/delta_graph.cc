@@ -16,10 +16,8 @@
 
 namespace daf::dyn {
 
-DeltaGraph::DeltaGraph(Graph base, Options options, uint64_t initial_version,
-                       bool restore)
-    : options_(options),
-      base_(std::make_shared<const Graph>(std::move(base))) {
+DeltaGraph::DeltaGraph(Graph base, uint64_t initial_version, bool restore)
+    : base_(std::make_shared<const Graph>(std::move(base))) {
   const uint32_t n = base_->NumVertices();
   labels_.resize(n);
   alive_.assign(n, 1);
@@ -106,20 +104,6 @@ uint32_t DeltaGraph::NeighborOriginalLabelCount(VertexId v, Label l) const {
     }
   }
   return count;
-}
-
-std::vector<VertexId> DeltaGraph::VerticesWithOriginalLabel(Label l) const {
-  std::vector<VertexId> out;
-  const Label dense = BaseDenseLabel(l);
-  if (dense != kNoSuchLabel) {
-    for (VertexId v : base_->VerticesWithLabel(dense)) {
-      if (alive_[v]) out.push_back(v);
-    }
-  }
-  for (VertexId v = base_->NumVertices(); v < NumVertices(); ++v) {
-    if (alive_[v] && labels_[v] == l) out.push_back(v);
-  }
-  return out;
 }
 
 bool DeltaGraph::Normalize(const UpdateBatch& batch, NormalizedBatch* out,
@@ -395,14 +379,6 @@ ApplyResult DeltaGraph::Install(const NormalizedBatch& net,
   result.added_vertices = net.new_vertices.size();
   result.removed_vertices = net.removed_vertices.size();
   result.ignored_ops = net.ignored_ops;
-
-  const uint64_t base_edges = base_->NumEdges();
-  if (base_edges >= options_.compaction_min_edges &&
-      static_cast<double>(OverlayEdges()) >
-          options_.compaction_ratio * static_cast<double>(base_edges)) {
-    Compact();
-    result.compacted = true;
-  }
   return result;
 }
 

@@ -13,15 +13,14 @@
 
 namespace daf::dyn {
 
-/// A versioned dynamic-graph layer over the immutable CSR Graph: a compacted
-/// *base* snapshot plus a per-vertex adjacency overlay holding the edges
-/// inserted and removed since the last compaction. Batches apply atomically
-/// (all-or-nothing) and advance a monotonically increasing version id; when
-/// the overlay grows past a configurable fraction of the base, the graph is
-/// compacted back into a fresh CSR (ids preserved) and the overlay cleared.
+/// A versioned dynamic-graph layer over the immutable CSR Graph: a *base*
+/// snapshot plus a per-vertex adjacency overlay holding the edges inserted
+/// and removed since the owner's last Compact(); the graph never folds on
+/// its own. Batches apply atomically (all-or-nothing) and advance a
+/// monotonically increasing version id.
 ///
 /// Identity and labels:
-///   * Vertex ids are stable for the lifetime of a DeltaGraph — compaction
+///   * Vertex ids are stable for the lifetime of a DeltaGraph — Compact()
 ///     never renumbers. Removed vertices become *tombstones*: they keep
 ///     their id, lose all edges, and take the reserved kTombstoneLabel so
 ///     no query label can ever match them again.
@@ -40,28 +39,17 @@ class DeltaGraph {
   /// Label given to removed vertices; queries never carry it.
   static constexpr Label kTombstoneLabel = static_cast<Label>(-2);
 
-  /// Overlay-to-base edge ratio beyond which ApplyBatch compacts.
-  struct Options {
-    double compaction_ratio = 0.25;
-    /// Floor below which the ratio test is skipped (tiny graphs would
-    /// otherwise compact on every batch).
-    uint64_t compaction_min_edges = 4096;
-  };
-
-  explicit DeltaGraph(Graph base) : DeltaGraph(std::move(base), Options()) {}
-  DeltaGraph(Graph base, Options options)
-      : DeltaGraph(std::move(base), options, 0, /*restore=*/false) {}
+  explicit DeltaGraph(Graph base)
+      : DeltaGraph(std::move(base), 0, /*restore=*/false) {}
 
   /// Restoring constructor (crash recovery): `base` is a materialized
   /// snapshot taken at `initial_version` — versioning resumes there
   /// instead of 0, so query-cache keys and subscriber resync markers stay
-  /// monotone across a restart. Unlike the plain constructors, vertices
+  /// monotone across a restart. Unlike the plain constructor, vertices
   /// carrying kTombstoneLabel in `base` are restored as *dead* tombstones
   /// (a materialized snapshot keeps them as isolated labeled vertices).
-  static DeltaGraph Restore(Graph base, Options options,
-                            uint64_t initial_version) {
-    return DeltaGraph(std::move(base), options, initial_version,
-                      /*restore=*/true);
+  static DeltaGraph Restore(Graph base, uint64_t initial_version) {
+    return DeltaGraph(std::move(base), initial_version, /*restore=*/true);
   }
 
   DeltaGraph(const DeltaGraph&) = delete;
@@ -73,9 +61,6 @@ class DeltaGraph {
 
   /// Number of successfully applied batches; the initial graph is v0.
   uint64_t version() const { return version_; }
-
-  /// Replaces the compaction policy; the next install applies it.
-  void set_options(const Options& options) { options_ = options; }
 
   // --- Writer operations (externally serialized).
 
@@ -92,7 +77,7 @@ class DeltaGraph {
   /// injected `delta_apply` fault) the graph is untouched and the version
   /// does not advance. When `normalized` is non-null the net change set is
   /// returned to the caller (the seed list for CS maintenance and delta
-  /// enumeration). May trigger compaction afterwards.
+  /// enumeration).
   ApplyResult ApplyBatch(const UpdateBatch& batch,
                          NormalizedBatch* normalized = nullptr);
 
@@ -112,10 +97,10 @@ class DeltaGraph {
   ApplyResult ApplyNormalized(const NormalizedBatch& net,
                               const std::vector<Label>& new_vertex_labels);
 
-  /// Makes the current snapshot (Materialize) the new base and clears the
-  /// overlay. Ids are preserved; tombstones stay as isolated
-  /// kTombstoneLabel vertices. Invalidates nothing — reads before/after
-  /// agree, and the snapshot stays cached for the current version.
+  /// The one fold: makes the current snapshot (Materialize, a cache hit
+  /// when this version is built) the new base and clears the overlay. Ids
+  /// are preserved; tombstones stay as isolated kTombstoneLabel vertices.
+  /// Reads before/after agree, and the snapshot stays cached.
   void Compact();
 
   // --- Read interface (original label space).
@@ -166,11 +151,6 @@ class DeltaGraph {
   /// value in the dynamic layer).
   uint32_t NeighborOriginalLabelCount(VertexId v, Label l) const;
 
-  /// All current vertex ids carrying original label `l` (ascending). Used
-  /// to seed single-vertex-query deltas and tests; O(overlay) on top of the
-  /// base label index.
-  std::vector<VertexId> VerticesWithOriginalLabel(Label l) const;
-
   /// An immutable CSR snapshot of the current state (ids preserved,
   /// tombstones as isolated kTombstoneLabel vertices). Built in O(V + E)
   /// (plus sorting each vertex's overlay lists) by merging every base row
@@ -184,13 +164,11 @@ class DeltaGraph {
   std::vector<std::pair<Edge, Label>> CurrentEdges() const;
 
  private:
-  DeltaGraph(Graph base, Options options, uint64_t initial_version,
-             bool restore);
+  DeltaGraph(Graph base, uint64_t initial_version, bool restore);
 
   /// The shared install path of ApplyBatch and ApplyNormalized: pushes new
   /// vertices, uninstalls removes, installs inserts, tombstones removed
-  /// vertices, bumps the version, and maybe compacts. Preconditions were
-  /// validated by the caller.
+  /// vertices and bumps the version; the caller validated preconditions.
   ApplyResult Install(const NormalizedBatch& net,
                       const std::vector<Label>& new_vertex_labels);
 
@@ -198,10 +176,10 @@ class DeltaGraph {
   /// appears in both endpoints' `added` lists and a removed base edge in
   /// both endpoints' `removed` lists, so every per-vertex read is local.
   struct Overlay {
-    /// Edges added since the last compaction: (neighbor, edge label),
+    /// Edges added since the last Compact(): (neighbor, edge label),
     /// unordered. Small per vertex; linear scans are fine.
     std::vector<std::pair<VertexId, Label>> added;
-    /// Far ends of the base edges removed since the last compaction,
+    /// Far ends of the base edges removed since the last Compact(),
     /// ascending. A sorted vector rather than a hash set: a lookup is a
     /// binary search, and replaying or compacting a large overlay
     /// allocates and frees per vertex instead of per edge.
@@ -235,12 +213,11 @@ class DeltaGraph {
   /// Current existence + label of (u, v), overlay-aware.
   bool EdgeLabelNow(VertexId u, VertexId v, Label* label_out) const;
 
-  Options options_;
   std::shared_ptr<const Graph> base_;
   std::vector<Label> labels_;   // original space; kTombstoneLabel when dead
   std::vector<uint8_t> alive_;
   std::vector<uint32_t> degree_;
-  std::vector<Overlay> overlay_;  // by vertex id; empty after compaction
+  std::vector<Overlay> overlay_;  // by vertex id; empty after Compact()
   uint64_t num_edges_ = 0;
   uint64_t added_count_ = 0;    // overlay insertions
   uint64_t removed_count_ = 0;  // overlay removals of base edges

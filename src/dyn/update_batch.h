@@ -102,9 +102,6 @@ struct ApplyResult {
   uint64_t added_vertices = 0;
   uint64_t removed_vertices = 0;
   uint64_t ignored_ops = 0;
-  /// True when this batch tripped the overlay-compaction trigger — the
-  /// persistence layer rolls the WAL into a fresh snapshot on compaction.
-  bool compacted = false;
 };
 
 /// Packs an undirected edge into one 64-bit key (order-insensitive).

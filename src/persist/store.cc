@@ -89,10 +89,11 @@ double ElapsedMs(std::chrono::steady_clock::time_point since) {
   return MsBetween(since, std::chrono::steady_clock::now());
 }
 
-// The replay policy: the overlay grows with the tail (bounded by the
-// service's compact-and-checkpoint cadence) and folds once at the end.
-constexpr dyn::DeltaGraph::Options kNeverCompact{
-    .compaction_min_edges = UINT64_MAX};
+uint64_t FileBytes(const std::string& path) {
+  struct stat st;
+  return ::stat(path.c_str(), &st) == 0 ? static_cast<uint64_t>(st.st_size)
+                                        : 0;
+}
 
 }  // namespace
 
@@ -144,7 +145,10 @@ bool DurableStore::Recover(std::string* error) {
     const std::string path = dir_ + "/" + VersionedName(kSnapshotPrefix, v,
                                                         kSnapshotSuffix);
     base = LoadSnapshot(path, &snapshot_version, &last_error);
-    if (base.has_value()) break;
+    if (base.has_value()) {
+      snapshot_bytes_ = FileBytes(path);
+      break;
+    }
     ++recovery_.snapshots_skipped;
   }
   if (!base.has_value()) {
@@ -152,9 +156,9 @@ bool DurableStore::Recover(std::string* error) {
   }
   // Replay never compacts: a mid-replay compaction would rebuild the whole
   // CSR for a state recovery passes straight through. One build at the
-  // end (below) replaces them all.
-  recovered_graph_.emplace(dyn::DeltaGraph::Restore(
-      std::move(*base), kNeverCompact, snapshot_version));
+  // end (below) folds the whole tail.
+  recovered_graph_.emplace(
+      dyn::DeltaGraph::Restore(std::move(*base), snapshot_version));
   recovery_.recovered = true;
   recovery_.snapshot_version = snapshot_version;
   const auto t_loaded = std::chrono::steady_clock::now();
@@ -190,6 +194,7 @@ bool DurableStore::Recover(std::string* error) {
             return false;
           }
           ++recovery_.wal_records_replayed;
+          wal_tail_bytes_ += WalRecordBytes(record);
           return true;
         });
     if (!scan.ok) {
@@ -238,11 +243,9 @@ bool DurableStore::Recover(std::string* error) {
   return true;
 }
 
-dyn::DeltaGraph DurableStore::TakeRecoveredGraph(
-    const dyn::DeltaGraph::Options& options) {
+dyn::DeltaGraph DurableStore::TakeRecoveredGraph() {
   dyn::DeltaGraph g = std::move(*recovered_graph_);
   recovered_graph_.reset();
-  g.set_options(options);
   return g;
 }
 
@@ -276,6 +279,7 @@ bool DurableStore::InitializeFresh(const Graph& base, uint64_t version,
   }
   if (!FsyncDir(dir_)) return Fail(error, "cannot fsync data dir");
   ++snapshots_written_;
+  snapshot_bytes_ = FileBytes(dir_ + "/" + final_name);
   return SwitchWal(version, error);
 }
 
@@ -285,12 +289,18 @@ bool DurableStore::AppendBatch(const dyn::NormalizedBatch& net,
   std::lock_guard<std::mutex> lock(mutex_);
   if (failed_) return Fail(error, "store is fail-stopped");
   if (wal_ == nullptr) return Fail(error, "store not initialized");
-  return wal_->Append(MakeWalRecord(net, new_vertex_labels, version), error);
+  const uint64_t before = wal_->stats().bytes;
+  if (!wal_->Append(MakeWalRecord(net, new_vertex_labels, version), error)) {
+    return false;
+  }
+  wal_tail_bytes_ += wal_->stats().bytes - before;
+  return true;
 }
 
 bool DurableStore::RollbackLastAppend(std::string* error) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (wal_ == nullptr) return Fail(error, "store not initialized");
+  const uint64_t before = wal_->stats().bytes;
   if (!wal_->RollbackLastAppend(error)) {
     // The log now claims a batch the graph never applied. Refusing all
     // future appends keeps the durable history a prefix of the truth.
@@ -298,6 +308,7 @@ bool DurableStore::RollbackLastAppend(std::string* error) {
     ++persist_errors_;
     return false;
   }
+  wal_tail_bytes_ -= before - wal_->stats().bytes;
   return true;
 }
 
@@ -338,6 +349,10 @@ bool DurableStore::Checkpoint(const Graph& g, uint64_t version,
   }
   ++snapshots_written_;
   last_snapshot_ms_ = ElapsedMs(t0);
+  // Records up to `version` are in the snapshot now; a restart skips them
+  // even if the rotation below fails.
+  snapshot_bytes_ = FileBytes(dir_ + "/" + final_name);
+  wal_tail_bytes_ = 0;
   std::string rotate_error;
   if (!SwitchWal(version, &rotate_error)) {
     // The snapshot is durable; appends just continue into the old segment
@@ -348,6 +363,13 @@ bool DurableStore::Checkpoint(const Graph& g, uint64_t version,
   }
   ApplyRetention();
   return true;
+}
+
+bool DurableStore::CheckpointDue() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return wal_tail_bytes_ >=
+         std::max(kCheckpointFloorBytes,
+                  snapshot_bytes_ / kCheckpointSnapshotDivisor);
 }
 
 void DurableStore::ApplyRetention() {
@@ -398,6 +420,8 @@ PersistStats DurableStore::Stats() const {
   stats.persist_errors = persist_errors_;
   stats.failed = failed_;
   stats.last_snapshot_ms = last_snapshot_ms_;
+  stats.snapshot_bytes = snapshot_bytes_;
+  stats.wal_tail_bytes = wal_tail_bytes_;
   stats.recovery = recovery_;
   return stats;
 }

@@ -42,6 +42,8 @@ struct PersistStats {
   uint64_t persist_errors = 0;   // non-fatal IO errors (failed checkpoint, ...)
   bool failed = false;           // fail-stop latch tripped
   double last_snapshot_ms = 0;   // wall time of the last checkpoint
+  uint64_t snapshot_bytes = 0;   // file size of the newest snapshot
+  uint64_t wal_tail_bytes = 0;   // WAL record bytes a restart would replay
   RecoveryInfo recovery;
 };
 
@@ -55,10 +57,11 @@ struct PersistStats {
 /// Protocol (docs/PERSISTENCE.md):
 ///   * Every committed batch is appended (its *normalized* form) to the
 ///     active WAL segment before DeltaGraph applies it.
-///   * A checkpoint writes snapshot-<v>.dafs.tmp, fsyncs, renames into
-///     place, fsyncs the directory, then starts a fresh wal-<v>.dafw and
-///     retires files older than the retention window. The rename is the
-///     commit point — a crash on either side leaves a recoverable dir.
+///   * A checkpoint (due per CheckpointDue()) writes snapshot-<v>.dafs.tmp,
+///     fsyncs, renames into place, fsyncs the directory, then starts a
+///     fresh wal-<v>.dafw and retires files older than the retention
+///     window. The rename is the commit point — a crash on either side
+///     leaves a recoverable dir.
 ///   * Open() recovers: newest snapshot that validates (corrupt ones are
 ///     skipped with a counter; if every snapshot is corrupt that is an
 ///     error, not a silent empty start), then every WAL segment in order —
@@ -95,6 +98,9 @@ class DurableStore {
                                             const Options& options,
                                             std::string* error);
 
+  static constexpr uint64_t kCheckpointFloorBytes = uint64_t{64} << 10;
+  static constexpr uint64_t kCheckpointSnapshotDivisor = 4;
+
   /// True when Open() recovered prior state; TakeRecoveredGraph() is then
   /// valid exactly once.
   bool has_state() const { return recovered_graph_.has_value(); }
@@ -105,11 +111,9 @@ class DurableStore {
   /// Precondition: has_state().
   const dyn::DeltaGraph& recovered_graph() const { return *recovered_graph_; }
 
-  /// Moves out the recovered DeltaGraph (see recovered_graph()) and hands
-  /// it the caller's `options` from here on, so it compacts on the
-  /// caller's cadence. Precondition: has_state().
-  dyn::DeltaGraph TakeRecoveredGraph(
-      const dyn::DeltaGraph::Options& options = {});
+  /// Moves out the recovered DeltaGraph (see recovered_graph()).
+  /// Precondition: has_state().
+  dyn::DeltaGraph TakeRecoveredGraph();
 
   /// Seeds an empty directory: writes snapshot-<version> of `base` and
   /// starts its WAL segment. Precondition: !has_state().
@@ -136,6 +140,12 @@ class DurableStore {
   /// WAL still holds everything since the last good snapshot.
   bool Checkpoint(const Graph& g, uint64_t version, std::string* error);
 
+  /// True once the WAL tail a restart would replay (the records replayed at
+  /// Open plus those appended since; a snapshot resets it) reaches
+  /// max(kCheckpointFloorBytes, snapshot bytes / kCheckpointSnapshotDivisor).
+  /// The floor keeps small graphs from checkpointing every few batches.
+  bool CheckpointDue() const;
+
   PersistStats Stats() const;
   const RecoveryInfo& recovery() const { return recovery_; }
   const std::string& dir() const { return dir_; }
@@ -158,6 +168,8 @@ class DurableStore {
   uint64_t snapshots_written_ = 0;
   uint64_t persist_errors_ = 0;
   double last_snapshot_ms_ = 0;
+  uint64_t snapshot_bytes_ = 0;
+  uint64_t wal_tail_bytes_ = 0;
   bool failed_ = false;
   // Stats of retired WAL segments (rotation resets the writer's own).
   uint64_t retired_wal_records_ = 0;

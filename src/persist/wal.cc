@@ -68,9 +68,7 @@ struct Cursor {
 
 std::vector<uint8_t> EncodePayload(const WalRecord& r) {
   std::vector<uint8_t> buf;
-  buf.reserve(kMinPayloadBytes + 4 * r.new_vertex_labels.size() +
-              12 * (r.inserts.size() + r.removes.size()) +
-              4 * r.removed_vertices.size());
+  buf.reserve(WalRecordBytes(r) - kRecordHeaderBytes);
   Put64(buf, r.version);
   Put32(buf, static_cast<uint32_t>(r.new_vertex_labels.size()));
   for (Label l : r.new_vertex_labels) Put32(buf, l);
@@ -188,6 +186,13 @@ WalRecord MakeWalRecord(const dyn::NormalizedBatch& net,
   r.removes = net.removes;
   r.removed_vertices = net.removed_vertices;
   return r;
+}
+
+uint64_t WalRecordBytes(const WalRecord& r) {
+  return kRecordHeaderBytes + kMinPayloadBytes +
+         4 * r.new_vertex_labels.size() +
+         12 * (r.inserts.size() + r.removes.size()) +
+         4 * r.removed_vertices.size();
 }
 
 dyn::NormalizedBatch ToNormalizedBatch(const WalRecord& record,

@@ -58,6 +58,9 @@ WalRecord MakeWalRecord(const dyn::NormalizedBatch& net,
                         const std::vector<Label>& new_vertex_labels,
                         uint64_t version);
 
+/// Bytes `record` occupies in a log: the record header plus its payload.
+uint64_t WalRecordBytes(const WalRecord& record);
+
 /// Reconstructs the NormalizedBatch for replay. `first_new_vertex_id` is
 /// the replaying graph's current NumVertices().
 dyn::NormalizedBatch ToNormalizedBatch(const WalRecord& record,

@@ -25,13 +25,6 @@ ServiceOptions Normalize(ServiceOptions options) {
   return options;
 }
 
-dyn::DeltaGraph::Options DeltaOptions(const ServiceOptions& options) {
-  dyn::DeltaGraph::Options d;
-  d.compaction_ratio = options.delta_compaction_ratio;
-  d.compaction_min_edges = options.delta_compaction_min_edges;
-  return d;
-}
-
 }  // namespace
 
 MatchService::MatchService(Graph data, ServiceOptions options)
@@ -42,7 +35,8 @@ MatchService::MatchService(Graph data, ServiceOptions options)
       contexts_(options_.num_workers, options_.context_retained_bytes),
       global_budget_(options_.service_memory_limit_bytes) {
   // O(1) on both paths: a fresh DeltaGraph caches its base as the v0
-  // snapshot, and a recovered one the snapshot recovery built.
+  // snapshot, and a recovered one the snapshot recovery built; either way
+  // the overlay is empty, so the fold in Publish is a cache hit.
   Publish();
   if (options_.enable_query_cache) {
     QueryCacheOptions cache_options;
@@ -68,7 +62,7 @@ dyn::DeltaGraph MatchService::InitGraph(Graph data) {
   if (store_ != nullptr && store_->has_state()) {
     // Recovery already replayed the WAL onto the newest valid snapshot;
     // the constructor's seed graph is superseded by the durable truth.
-    return store_->TakeRecoveredGraph(DeltaOptions(options_));
+    return store_->TakeRecoveredGraph();
   }
   if (store_ != nullptr) {
     std::string error;
@@ -80,7 +74,7 @@ dyn::DeltaGraph MatchService::InitGraph(Graph data) {
       store_.reset();
     }
   }
-  return dyn::DeltaGraph(std::move(data), DeltaOptions(options_));
+  return dyn::DeltaGraph(std::move(data));
 }
 
 JobHandle MatchService::Submit(QueryJob job) {
@@ -476,6 +470,9 @@ void MatchService::GracefulShutdown(uint64_t grace_ms) {
 }
 
 void MatchService::Publish() {
+  // The fold makes the published snapshot the base, so the overlay only
+  // ever holds the batch in progress.
+  dgraph_.Compact();
   published_.Store(std::make_shared<const Published>(
       Published{dgraph_.Materialize(), dgraph_.version()}));
 }
@@ -489,12 +486,7 @@ uint64_t MatchService::GraphVersion() const {
 }
 
 size_t MatchService::ActiveSubscriptions() const {
-  std::lock_guard<std::mutex> lock(update_mutex_);
-  size_t active = 0;
-  for (const auto& sub : subscriptions_) {
-    if (!sub->cancelled.load(std::memory_order_acquire)) ++active;
-  }
-  return active;
+  return active_subscriptions_->load(std::memory_order_acquire);
 }
 
 SubscriptionHandle MatchService::Subscribe(QueryJob job) {
@@ -545,6 +537,8 @@ SubscriptionHandle MatchService::Subscribe(QueryJob job) {
       state->query, dgraph_, cs_options);
   state->enumerator =
       std::make_unique<dyn::DeltaEnumerator>(state->query, *state->cs);
+  state->active_count = active_subscriptions_;
+  active_subscriptions_->fetch_add(1, std::memory_order_acq_rel);
   subscriptions_.push_back(state);
   return SubscriptionHandle(state);
 }
@@ -688,18 +682,17 @@ UpdateOutcome MatchService::ApplyUpdates(const dyn::UpdateBatch& batch) {
   }
 
   // Every queue holds this version's deltas, so the version may become
-  // visible: materialize it here, on the writer (a cache hit when a
-  // compaction or a CS rebuild already did), and publish it in one store.
+  // visible: materialize it here, on the writer (a cache hit when a CS
+  // rebuild already did), and publish it in one store.
   Stopwatch publish_timer;
   Publish();
   out.publish_ms = publish_timer.ElapsedMs();
 
-  if (r.compacted && logged) {
-    // Compaction folded the overlay into a fresh base — the natural
-    // moment to roll the WAL into a snapshot. Still under update_mutex_
-    // (checkpoints serialize with appends); jobs proceed during the
-    // write. Failure is non-fatal: the WAL still holds everything since
-    // the last good snapshot, and the store counted the error.
+  if (logged && store_->CheckpointDue()) {
+    // The tail a restart would replay outgrew its share of the snapshot.
+    // Still under update_mutex_ (checkpoints serialize with appends); jobs
+    // proceed during the write. Failure is non-fatal: the WAL still holds
+    // everything since the last good snapshot, and the store counted it.
     std::string checkpoint_error;
     store_->Checkpoint(*published_.Load()->graph, r.version,
                        &checkpoint_error);
@@ -732,7 +725,7 @@ bool MatchService::Checkpoint(std::string* error) {
 
 obs::ServiceMetricsSnapshot MatchService::Metrics() const {
   obs::ServiceMetricsSnapshot m;
-  // Locks ordered as everywhere else: update first, metrics last (the
+  // Never takes update_mutex_, so a scrape does not wait out a batch (the
   // store's internal mutex is a leaf — Stats never blocks a writer for
   // long).
   m.dyn_active_subscriptions = ActiveSubscriptions();

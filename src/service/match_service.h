@@ -99,9 +99,6 @@ struct ServiceOptions {
   /// drops the backlog and leaves a single resync marker (see
   /// DeltaBatch::resync).
   size_t subscription_queue_batches = 64;
-  /// Overlay compaction policy of the underlying DeltaGraph.
-  double delta_compaction_ratio = 0.25;
-  uint64_t delta_compaction_min_edges = 4096;
 
   // --- Durable state (docs/PERSISTENCE.md).
 
@@ -109,11 +106,11 @@ struct ServiceOptions {
   /// store recovered prior state, the constructor's `data` argument is
   /// ignored in favor of the recovered graph; a fresh store is seeded with
   /// `data` as the version-0 snapshot (if that seed write fails the
-  /// service degrades to memory-only with a warning on stderr). A recovered
-  /// graph compacts (and checkpoints) on delta_compaction_* like a fresh
-  /// one. Once attached, every committed
-  /// batch is WAL-appended before it is applied, and overlay compaction
-  /// additionally rolls the WAL into a fresh snapshot.
+  /// service degrades to memory-only with a warning on stderr). Once
+  /// attached, every committed batch is WAL-appended before it is applied,
+  /// and after a publish the WAL is rolled into a fresh snapshot whenever
+  /// the store's CheckpointDue() holds (the tail a restart would replay
+  /// has reached max(64 KiB, a quarter of the snapshot)).
   std::shared_ptr<persist::DurableStore> data_store;
 };
 
@@ -201,8 +198,8 @@ class MatchService {
   /// Forces a checkpoint of the current version to the durable store
   /// (snapshot + WAL rotation + retention). False with *error when
   /// persistence is not configured or the write failed. Ordinary operation
-  /// does not need it — compaction-triggered checkpoints happen inside
-  /// ApplyUpdates — but operators may want one before a planned restart.
+  /// does not need it — ApplyUpdates checkpoints when the WAL tail is due
+  /// — but operators may want one before a planned restart.
   bool Checkpoint(std::string* error = nullptr);
 
   /// Immutable CSR snapshot of the published graph version, read without
@@ -214,8 +211,8 @@ class MatchService {
   /// applied so far (the initial graph is v0). Never waits on a batch.
   uint64_t GraphVersion() const;
 
-  /// Standing queries currently registered (unsubscribed ones linger until
-  /// the next update's sweep).
+  /// Standing queries currently registered and not unsubscribed. Never
+  /// waits on an update batch.
   size_t ActiveSubscriptions() const;
 
   /// A point-in-time copy of the service metrics.
@@ -239,8 +236,9 @@ class MatchService {
     std::shared_ptr<const Graph> graph;
     uint64_t version = 0;
   };
-  /// Materializes dgraph_'s current version and publishes it (writer side,
-  /// under update_mutex_, or in the constructor).
+  /// Folds dgraph_'s overlay into its current version's snapshot and
+  /// publishes that snapshot (writer side, under update_mutex_, or in the
+  /// constructor).
   void Publish();
   /// Pushes one embedding into the job's stream buffer, blocking on
   /// backpressure; false when the consumer closed or the job was cancelled.
@@ -267,12 +265,15 @@ class MatchService {
   /// end of every applied batch, so a job holding an older pair keeps its
   /// snapshot alive.
   PublishCell<Published> published_;
-  /// Serializes update batches and subscription registration end to end
-  /// (mutable: metric snapshots count active subscriptions under it).
-  mutable std::mutex update_mutex_;
+  /// Serializes update batches and subscription registration end to end.
+  std::mutex update_mutex_;
   /// Standing queries; swept of unsubscribed entries on each update.
   /// Guarded by update_mutex_.
   std::vector<internal::SubscriptionStatePtr> subscriptions_;
+  /// Subscribed minus unsubscribed, shared with every subscription so an
+  /// Unsubscribe after the service is gone stays safe.
+  std::shared_ptr<std::atomic<size_t>> active_subscriptions_ =
+      std::make_shared<std::atomic<size_t>>(0);
   std::atomic<uint64_t> next_subscription_id_{1};
   AdmissionQueue queue_;
   ContextPool contexts_;

@@ -30,7 +30,10 @@ bool PushDeltaBatch(SubscriptionState& sub, DeltaBatch batch) {
 }  // namespace internal
 
 void SubscriptionHandle::Unsubscribe() {
-  state_->cancelled.store(true, std::memory_order_release);
+  if (!state_->cancelled.exchange(true, std::memory_order_acq_rel) &&
+      state_->active_count != nullptr) {
+    state_->active_count->fetch_sub(1, std::memory_order_acq_rel);
+  }
 }
 
 std::optional<DeltaBatch> SubscriptionHandle::Poll() {

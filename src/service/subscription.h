@@ -56,7 +56,7 @@ struct UpdateOutcome {
   uint64_t subscriptions_notified = 0;
   uint64_t resyncs = 0;  // notifications degraded to a resync marker
   /// Writer time spent making the new version visible to jobs: the eager
-  /// materialization of the snapshot plus the atomic publish.
+  /// materialization, the fold of the overlay and the atomic publish.
   double publish_ms = 0;
 };
 
@@ -83,6 +83,9 @@ struct SubscriptionState {
   std::unique_ptr<dyn::DeltaEnumerator> enumerator;
 
   std::atomic<bool> cancelled{false};
+  /// The service's active-subscription count (null when rejected); the
+  /// first Unsubscribe decrements it.
+  std::shared_ptr<std::atomic<size_t>> active_count;
 
   // Delivery queue (bounded; overflow clears it and marks resync).
   std::mutex mutex;

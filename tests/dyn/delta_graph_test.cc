@@ -41,8 +41,6 @@ TEST(DeltaGraphTest, InitialStateMatchesBase) {
   EXPECT_EQ(dg.Degree(1), 3u);
   EXPECT_EQ(dg.NeighborOriginalLabelCount(1, 10), 2u);
   EXPECT_EQ(dg.NeighborOriginalLabelCount(1, 30), 1u);
-  EXPECT_EQ(dg.VerticesWithOriginalLabel(10),
-            (std::vector<VertexId>{0, 2}));
 }
 
 TEST(DeltaGraphTest, InsertAndRemoveEdges) {
@@ -223,13 +221,15 @@ void ExpectSnapshotMatchesReference(const DeltaGraph& dg) {
 /// vertices draw from 0..6: even labels are new and fall between existing
 /// ones, shifting the dense remap. After every batch the snapshot must
 /// agree with the overlay reads and, array by array, with the reference.
-void RandomizedDifferential(DeltaGraph::Options options, uint64_t seed) {
+/// The owner folds with Compact() after every `compact_every`-th batch
+/// (0 = never).
+void RandomizedDifferential(int compact_every, uint64_t seed) {
   Rng rng(seed);
   Graph::CsrParts parts = testing::RandomDataGraph(40, 90, 3, rng).ToCsrParts();
   for (Label& l : parts.labels) l = 2 * l + 1;
   std::optional<Graph> base = Graph::FromCsrParts(std::move(parts), nullptr);
   ASSERT_TRUE(base.has_value());
-  DeltaGraph dg(std::move(*base), options);
+  DeltaGraph dg(std::move(*base));
 
   for (int round = 0; round < 60; ++round) {
     UpdateBatch batch;
@@ -292,24 +292,27 @@ void RandomizedDifferential(DeltaGraph::Options options, uint64_t seed) {
     }
     EXPECT_EQ(count, edge_map.size());
     ExpectSnapshotMatchesReference(dg);
+
+    if (compact_every != 0 && (round + 1) % compact_every == 0) {
+      dg.Compact();
+      EXPECT_EQ(dg.OverlayEdges(), 0u);
+      EXPECT_EQ(dg.Materialize().get(), snap.get());  // the fold reuses it
+      EXPECT_EQ(EdgeMap(dg), edge_map);
+    }
   }
 }
 
 TEST(DeltaGraphTest, RandomizedDifferentialAgainstMaterialized) {
-  DeltaGraph::Options options;
-  options.compaction_min_edges = 32;  // force frequent compaction
-  options.compaction_ratio = 0.15;
-  RandomizedDifferential(options, 20260808);
+  // Frequent folds: every third snapshot becomes the base.
+  RandomizedDifferential(/*compact_every=*/3, 20260808);
 }
 
 TEST(DeltaGraphTest, RandomizedDifferentialWithoutCompaction) {
   // The overlay only grows: every snapshot merges the original base with
   // all sixty batches.
-  DeltaGraph::Options options;
-  options.compaction_min_edges = UINT64_MAX;
   for (uint64_t seed : {20260808u, 7u, 1000003u}) {
     SCOPED_TRACE(seed);
-    RandomizedDifferential(options, seed);
+    RandomizedDifferential(/*compact_every=*/0, seed);
   }
 }
 

@@ -312,12 +312,18 @@ TEST(ConcurrencyTest, MixedReadsAndWritesMatchTheirVersion) {
   }
 
   // Drains the subscriptions while batches land; a consumer that saw
-  // GraphVersion() == v must find v's deltas already queued.
+  // GraphVersion() == v must find v's deltas already queued. It also
+  // scrapes Metrics(), which must not need the writer's lock and must
+  // count both subscriptions throughout.
   std::vector<std::vector<service::DeltaBatch>> delivered(subs.size());
   std::atomic<int> early_versions{0};
+  std::atomic<int> wrong_active_counts{0};
   std::thread consumer([&] {
     for (bool last = false; !last;) {
       last = writes_done.load();
+      if (service.Metrics().dyn_active_subscriptions != subs.size()) {
+        wrong_active_counts.fetch_add(1);
+      }
       for (size_t s = 0; s < subs.size(); ++s) {
         const uint64_t seen = service.GraphVersion();
         for (service::DeltaBatch& b : subs[s].Drain()) {
@@ -351,6 +357,7 @@ TEST(ConcurrencyTest, MixedReadsAndWritesMatchTheirVersion) {
             at.back()->ToCsrParts().adjacency);
   EXPECT_EQ(early_versions.load(), 0)
       << "a version became visible before its deltas were queued";
+  EXPECT_EQ(wrong_active_counts.load(), 0);
 
   // Every read against the version it reports.
   std::map<std::pair<size_t, uint64_t>, uint64_t> truth;

@@ -94,15 +94,6 @@ std::vector<dyn::UpdateBatch> GenBatches(const Graph& base, uint64_t seed) {
   return out;
 }
 
-/// Aggressive compaction so checkpoints (snapshot_write / snapshot_rename
-/// polls) actually happen within a 12-batch run.
-dyn::DeltaGraph::Options AggressiveCompaction() {
-  dyn::DeltaGraph::Options o;
-  o.compaction_ratio = 0.01;
-  o.compaction_min_edges = 1;
-  return o;
-}
-
 persist::DurableStore::Options StoreOptions() {
   persist::DurableStore::Options o;
   o.fsync_policy = persist::FsyncPolicy::kEveryBatch;
@@ -118,8 +109,6 @@ persist::DurableStore::Options StoreOptions() {
 
   service::ServiceOptions options;
   options.num_workers = 1;
-  options.delta_compaction_ratio = 0.01;
-  options.delta_compaction_min_edges = 1;
   options.data_store = std::move(store);
   service::MatchService service(BaseGraph(), options);
   if (!service.Metrics().persist_enabled) _exit(3);
@@ -130,6 +119,10 @@ persist::DurableStore::Options StoreOptions() {
   for (const dyn::UpdateBatch& batch : GenBatches(BaseGraph(), seed)) {
     const service::UpdateOutcome out = service.ApplyUpdates(batch);
     if (!out.ok) _exit(4);  // only the kill may stop the stream
+    // A checkpoint after every batch, so the snapshot_write and
+    // snapshot_rename polls fall between appends throughout the run (the
+    // WAL-size rule would not fire on a graph this small).
+    if (!service.Checkpoint()) _exit(5);
   }
   _exit(0);  // kill point never reached at this nth — also legal
 }
@@ -161,12 +154,12 @@ void RunCrashCase(const std::string& point, uint64_t nth, uint64_t seed,
   auto store = persist::DurableStore::Open(dir.path(), StoreOptions(), &error);
   ASSERT_NE(store, nullptr) << error;
   ASSERT_TRUE(store->has_state());
-  dyn::DeltaGraph recovered = store->TakeRecoveredGraph(AggressiveCompaction());
+  dyn::DeltaGraph recovered = store->TakeRecoveredGraph();
   const uint64_t version = recovered.version();
   ASSERT_LE(version, static_cast<uint64_t>(kBatchesPerRun));
 
   // Replica: the same deterministic prefix, never crashed.
-  dyn::DeltaGraph replica(BaseGraph(), AggressiveCompaction());
+  dyn::DeltaGraph replica(BaseGraph());
   const std::vector<dyn::UpdateBatch> batches = GenBatches(BaseGraph(), seed);
   for (uint64_t i = 0; i < version; ++i) {
     const dyn::ApplyResult r = replica.ApplyBatch(batches[i]);
@@ -209,16 +202,16 @@ TEST_F(CrashRecoveryTest, KillAtFsync) {
 }
 
 TEST_F(CrashRecoveryTest, KillDuringSnapshotWrite) {
-  // Compaction cadence depends on the batch mix, so the point may not be
-  // polled for every seed; recovery must hold either way.
+  // The child checkpoints after every batch, so the first batch's
+  // checkpoint always reaches the point.
   for (uint64_t seed : {11u, 22u, 33u}) {
-    RunCrashCase("snapshot_write", 1, seed, /*expect_kill=*/false);
+    RunCrashCase("snapshot_write", 1, seed, /*expect_kill=*/true);
   }
 }
 
 TEST_F(CrashRecoveryTest, KillAtSnapshotRename) {
   for (uint64_t seed : {11u, 22u, 33u}) {
-    RunCrashCase("snapshot_rename", 1, seed, /*expect_kill=*/false);
+    RunCrashCase("snapshot_rename", 1, seed, /*expect_kill=*/true);
   }
 }
 

@@ -88,7 +88,7 @@ TEST(SnapshotTest, RoundTripTombstones) {
   ExpectSameGraph(*dg.Materialize(), *loaded);
 
   dyn::DeltaGraph restored =
-      dyn::DeltaGraph::Restore(std::move(*loaded), {}, version);
+      dyn::DeltaGraph::Restore(std::move(*loaded), version);
   EXPECT_EQ(restored.version(), dg.version());
   EXPECT_EQ(restored.NumVertices(), dg.NumVertices());
   EXPECT_FALSE(restored.Alive(2));

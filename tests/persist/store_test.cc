@@ -14,6 +14,7 @@
 #include "tests/persist/persist_test_util.h"
 #include "tests/test_util.h"
 #include "util/fault_inject.h"
+#include "util/rng.h"
 
 namespace daf::persist {
 namespace {
@@ -197,6 +198,93 @@ TEST(StoreTest, CheckpointRotatesAndAppliesRetention) {
   EXPECT_EQ(recovered.version(), 4u);
   EXPECT_EQ(GraphToText(*recovered.Materialize()),
             GraphToText(*mirror.Materialize()));
+}
+
+/// Appends 50 fresh edges from `hub` to 50 new vertices (832 WAL bytes)
+/// until CheckpointDue() turns true; returns the tail just before that.
+uint64_t AppendUntilDue(DurableStore& store, dyn::DeltaGraph& mirror,
+                        VertexId hub) {
+  uint64_t before = 0;
+  while (!store.CheckpointDue()) {
+    before = store.Stats().wal_tail_bytes;
+    dyn::UpdateBatch batch;
+    for (uint32_t i = 0; i < 50; ++i) {
+      batch.AddVertex(1).InsertEdge(hub, mirror.NumVertices() + i);
+    }
+    AppendAndApply(store, mirror, batch);
+    EXPECT_EQ(store.Stats().wal_tail_bytes, before + 832);
+    if (::testing::Test::HasFailure() || mirror.version() > 10000) break;
+  }
+  return before;
+}
+
+TEST(StoreTest, CheckpointDueOnWalTailFloorAndQuarter) {
+  ScopedTempDir dir;
+  std::string error;
+  const uint64_t floor = DurableStore::kCheckpointFloorBytes;
+  const uint64_t divisor = DurableStore::kCheckpointSnapshotDivisor;
+  {
+    // Small snapshot: the floor decides.
+    dyn::DeltaGraph mirror(BaseGraph());
+    auto store = DurableStore::Open(dir.File("small"), TestOptions(), &error);
+    ASSERT_NE(store, nullptr) << error;
+    ASSERT_TRUE(store->InitializeFresh(*mirror.Materialize(), 0, &error))
+        << error;
+    EXPECT_EQ(store->Stats().snapshot_bytes,
+              std::filesystem::file_size(dir.File("small/" + SnapName(0))));
+    ASSERT_LT(store->Stats().snapshot_bytes / divisor, floor);
+    EXPECT_FALSE(store->CheckpointDue());
+
+    // A rolled-back append leaves the tail as it was.
+    dyn::UpdateBatch doomed;
+    doomed.InsertEdge(0, 3);
+    dyn::NormalizedBatch net;
+    ASSERT_TRUE(mirror.Normalize(doomed, &net, &error)) << error;
+    ASSERT_TRUE(store->AppendBatch(net, {}, 1, &error)) << error;
+    EXPECT_GT(store->Stats().wal_tail_bytes, 0u);
+    ASSERT_TRUE(store->RollbackLastAppend(&error)) << error;
+    EXPECT_EQ(store->Stats().wal_tail_bytes, 0u);
+
+    const uint64_t before = AppendUntilDue(*store, mirror, 0);
+    EXPECT_LT(before, floor);
+    EXPECT_GE(store->Stats().wal_tail_bytes, floor);
+
+    // A checkpoint absorbs the tail and resizes the threshold.
+    ASSERT_TRUE(store->Checkpoint(*mirror.Materialize(), mirror.version(),
+                                  &error))
+        << error;
+    EXPECT_EQ(store->Stats().wal_tail_bytes, 0u);
+    EXPECT_FALSE(store->CheckpointDue());
+    EXPECT_EQ(store->Stats().snapshot_bytes,
+              std::filesystem::file_size(
+                  dir.File("small/" + SnapName(mirror.version()))));
+  }
+  {
+    // A snapshot over four times the floor: a quarter of it decides.
+    Rng rng(7);
+    dyn::DeltaGraph mirror(daf::testing::RandomDataGraph(8000, 40000, 4, rng));
+    uint64_t appended = 0;
+    uint64_t quarter = 0;
+    {
+      auto store = DurableStore::Open(dir.File("large"), TestOptions(), &error);
+      ASSERT_NE(store, nullptr) << error;
+      ASSERT_TRUE(store->InitializeFresh(*mirror.Materialize(), 0, &error))
+          << error;
+      quarter = store->Stats().snapshot_bytes / divisor;
+      ASSERT_GT(quarter, floor);
+      const uint64_t before = AppendUntilDue(*store, mirror, 0);
+      appended = store->Stats().wal_tail_bytes;
+      EXPECT_LT(before, quarter);
+      EXPECT_GE(appended, quarter);
+    }
+    // Reopening counts the replayed tail byte for byte.
+    auto store = DurableStore::Open(dir.File("large"), TestOptions(), &error);
+    ASSERT_NE(store, nullptr) << error;
+    EXPECT_EQ(store->recovery().wal_records_replayed, mirror.version());
+    EXPECT_EQ(store->Stats().wal_tail_bytes, appended);
+    EXPECT_EQ(store->Stats().snapshot_bytes / divisor, quarter);
+    EXPECT_TRUE(store->CheckpointDue());
+  }
 }
 
 TEST(StoreTest, CorruptNewestSnapshotFallsBackToOlder) {

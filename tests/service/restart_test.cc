@@ -230,34 +230,105 @@ TEST_F(RestartTest, ExplicitCheckpointSpeedsRecovery) {
   EXPECT_EQ(store->TakeRecoveredGraph().version(), 1u);
 }
 
-TEST_F(RestartTest, RecoveredGraphCompactsOnServiceCadence) {
+// A batch of `inserts` fresh edges from vertex `hub` to new vertices:
+// every record grows the WAL by the same amount, and nothing repeats.
+dyn::UpdateBatch FanOut(uint32_t num_vertices, VertexId hub, int inserts) {
+  dyn::UpdateBatch batch;
+  for (int i = 0; i < inserts; ++i) {
+    batch.AddVertex(1).InsertEdge(hub, num_vertices + i);
+  }
+  return batch;
+}
+
+TEST_F(RestartTest, ServiceCheckpointsWhenTheWalTailIsDue) {
   ScopedTempDir dir;
+  auto store = OpenStore(dir.path());
+  const uint64_t threshold = persist::DurableStore::kCheckpointFloorBytes;
+  uint64_t since_checkpoint = 0;
   {
-    MatchService service(SmallData(), DurableOptions(OpenStore(dir.path())));
+    MatchService service(SmallData(), DurableOptions(store));
+    // A tiny graph: its snapshot is far below four times the floor, so the
+    // floor is the threshold.
+    ASSERT_LT(store->Stats().snapshot_bytes,
+              persist::DurableStore::kCheckpointSnapshotDivisor * threshold);
+    ASSERT_EQ(service.Metrics().persist_snapshots_written, 1u);  // seed
+    for (int round = 0; service.Metrics().persist_snapshots_written == 1;
+         ++round) {
+      ASSERT_LT(round, 1000);
+      ASSERT_LT(store->Stats().wal_tail_bytes, threshold);
+      ASSERT_TRUE(service.ApplyUpdates(FanOut(service.Snapshot()->NumVertices(),
+                                              0, 50))
+                      .ok);
+    }
+    // The batch that reached the threshold checkpointed its own version.
+    EXPECT_EQ(store->Stats().wal_tail_bytes, 0u);
+    const uint64_t checkpointed = service.GraphVersion();
+    // A few more batches stay below the threshold: no further checkpoint.
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_TRUE(service.ApplyUpdates(FanOut(service.Snapshot()->NumVertices(),
+                                              1, 50))
+                      .ok);
+      ++since_checkpoint;
+    }
+    EXPECT_EQ(service.Metrics().persist_snapshots_written, 2u);
+    EXPECT_EQ(service.GraphVersion(), checkpointed + since_checkpoint);
     service.GracefulShutdown(2000);
   }
-  // The store is opened with default options; the compaction cadence of
-  // the recovered graph comes from the service alone.
+  store.reset();
+  auto reopened = OpenStore(dir.path());
+  ASSERT_TRUE(reopened->has_state());
+  // Recovery replays only what followed the checkpoint, and that tail is
+  // below the threshold.
+  EXPECT_EQ(reopened->recovery().wal_records_replayed, since_checkpoint);
+  EXPECT_LT(reopened->Stats().wal_tail_bytes, threshold);
+  EXPECT_GT(reopened->Stats().wal_tail_bytes, 0u);
+  EXPECT_FALSE(reopened->CheckpointDue());
+}
+
+TEST_F(RestartTest, ReopenedStorePastTheThresholdCheckpointsOnFirstBatch) {
+  ScopedTempDir dir;
+  {
+    // Write a tail past the floor straight through the store: no service,
+    // so nothing checkpoints it.
+    auto store = OpenStore(dir.path());
+    dyn::DeltaGraph mirror(SmallData());
+    std::string error;
+    ASSERT_TRUE(store->InitializeFresh(*mirror.Materialize(), 0, &error))
+        << error;
+    while (!store->CheckpointDue()) {
+      ASSERT_LT(mirror.version(), 1000u);
+      const dyn::UpdateBatch batch = FanOut(mirror.NumVertices(), 2, 50);
+      dyn::NormalizedBatch net;
+      ASSERT_TRUE(mirror.Normalize(batch, &net, &error)) << error;
+      ASSERT_TRUE(store->AppendBatch(net, batch.add_vertices,
+                                     mirror.version() + 1, &error))
+          << error;
+      ASSERT_TRUE(mirror.ApplyNormalized(net, batch.add_vertices).ok);
+    }
+  }
   auto store = OpenStore(dir.path());
   ASSERT_TRUE(store->has_state());
-  ServiceOptions options = DurableOptions(store);
-  options.delta_compaction_ratio = 0.01;
-  options.delta_compaction_min_edges = 1;
-  MatchService service(MakePath({7, 7}), options);
-  const uint64_t written = service.Metrics().persist_snapshots_written;
-  dyn::UpdateBatch b;
-  b.InsertEdge(1, 3);
-  ASSERT_TRUE(service.ApplyUpdates(b).ok);
-  // One overlay edge over a two-edge base exceeds ratio 0.01: the batch
-  // compacts, and compaction writes a checkpoint.
-  EXPECT_GT(service.Metrics().persist_snapshots_written, written);
-  EXPECT_EQ(service.GraphVersion(), 1u);
+  EXPECT_GE(store->Stats().wal_tail_bytes,
+            persist::DurableStore::kCheckpointFloorBytes);
+  EXPECT_TRUE(store->CheckpointDue());
+  const uint64_t replayed = store->recovery().wal_records_replayed;
+
+  // Constructing the service does not checkpoint; its first batch does.
+  MatchService service(Graph(), DurableOptions(store));
+  EXPECT_EQ(service.Metrics().persist_snapshots_written, 0u);
+  ASSERT_TRUE(
+      service.ApplyUpdates(FanOut(service.Snapshot()->NumVertices(), 0, 1))
+          .ok);
+  EXPECT_EQ(service.Metrics().persist_snapshots_written, 1u);
+  EXPECT_EQ(service.GraphVersion(), replayed + 1);
+  EXPECT_FALSE(store->CheckpointDue());
+  EXPECT_EQ(store->Stats().wal_tail_bytes, 0u);
 }
 
 TEST_F(RestartTest, RecoveryBuildsOneSnapshotTheServiceReuses) {
   ScopedTempDir dir;
-  // A base above DeltaGraph's default compaction floor (4096 edges) and a
-  // tail that crosses its 0.25 ratio at least twice, ending mid-threshold.
+  // A base of a few thousand edges and a 20-batch tail that replay holds
+  // in the overlay until the one build at the end.
   Rng rng(20261017);
   dyn::DeltaGraph mirror(daf::testing::RandomDataGraph(1500, 6000, 4, rng));
   ASSERT_GE(mirror.NumEdges(), 4096u);
@@ -267,9 +338,7 @@ TEST_F(RestartTest, RecoveryBuildsOneSnapshotTheServiceReuses) {
     std::string error;
     ASSERT_TRUE(store->InitializeFresh(*mirror.Materialize(), 0, &error))
         << error;
-    int compactions = 0;
-    for (int round = 0; compactions < 2 || round % 4 != 3; ++round) {
-      ASSERT_LT(round, 100);
+    for (int round = 0; round < 20; ++round) {
       dyn::UpdateBatch batch;
       const uint32_t n = mirror.NumVertices();
       for (int i = 0; i < 300; ++i) {
@@ -295,7 +364,6 @@ TEST_F(RestartTest, RecoveryBuildsOneSnapshotTheServiceReuses) {
       const dyn::ApplyResult r =
           mirror.ApplyNormalized(net, batch.add_vertices);
       ASSERT_TRUE(r.ok) << r.error;
-      compactions += r.compacted ? 1 : 0;
       ++logged;
     }
     ASSERT_GT(mirror.OverlayEdges(), 0u);
