@@ -9,8 +9,7 @@
 namespace daf::dyn {
 
 DynamicCandidateSpace::DynamicCandidateSpace(const Graph& query,
-                                             const DeltaGraph& dg,
-                                             Options options)
+                                             const Graph& g, Options options)
     : query_(query), options_(options) {
   const uint32_t n = query_.NumVertices();
   required_label_.resize(n);
@@ -38,21 +37,20 @@ DynamicCandidateSpace::DynamicCandidateSpace(const Graph& query,
     }
   }
   cand_.resize(n);
-  Rebuild(dg);
+  Rebuild(g);
 }
 
-void DynamicCandidateSpace::Rebuild(const DeltaGraph& dg) {
-  std::shared_ptr<const Graph> snap = dg.Materialize();
-  QueryDag dag = QueryDag::Build(query_, *snap);
+void DynamicCandidateSpace::Rebuild(const Graph& g) {
+  QueryDag dag = QueryDag::Build(query_, g);
   CandidateSpace::Options cs_options;
   cs_options.refinement_steps = options_.refinement_steps;
   cs_options.use_nlf_filter = options_.use_nlf_filter;
   cs_options.use_mnd_filter = options_.use_mnd_filter;
   cs_options.injective = options_.injective;
-  CandidateSpace cs = CandidateSpace::Build(query_, dag, *snap, cs_options);
+  CandidateSpace cs = CandidateSpace::Build(query_, dag, g, cs_options);
   total_candidates_ = 0;
   for (VertexId u = 0; u < query_.NumVertices(); ++u) {
-    cand_[u].Resize(dg.NumVertices());
+    cand_[u].Resize(g.NumVertices());
     for (VertexId v : cs.Candidates(u)) {
       cand_[u].Set(v);
     }
@@ -67,47 +65,48 @@ bool DynamicCandidateSpace::EmptySomewhere() const {
   return false;
 }
 
-bool DynamicCandidateSpace::LocalCheck(const DeltaGraph& dg, VertexId u,
+// A tombstone's label matches no query label, so the label test also
+// rejects removed vertices. An original label absent from `g` has dense id
+// kNoSuchLabel, whose neighbor slices are empty.
+bool DynamicCandidateSpace::LocalCheck(const Graph& g, VertexId u,
                                        VertexId v) const {
-  if (!dg.Alive(v)) return false;
-  if (dg.OriginalLabel(v) != required_label_[u]) return false;
-  if (options_.injective && dg.Degree(v) < query_.degree(u)) return false;
+  if (g.original_label(g.label(v)) != required_label_[u]) return false;
+  if (options_.injective && g.degree(v) < query_.degree(u)) return false;
   if (options_.use_nlf_filter) {
     for (const auto& [l, c] : nlf_[u]) {
       const uint32_t need = options_.injective ? c : 1;
-      if (dg.NeighborOriginalLabelCount(v, l) < need) return false;
+      if (g.NeighborLabelCount(v, g.DenseLabel(l)) < need) return false;
     }
   }
   return true;
 }
 
-bool DynamicCandidateSpace::FullCheck(const DeltaGraph& dg, VertexId u,
+bool DynamicCandidateSpace::FullCheck(const Graph& g, VertexId u,
                                       VertexId v) const {
-  if (!LocalCheck(dg, u, v)) return false;
+  if (!LocalCheck(g, u, v)) return false;
   // Arc consistency over *all* query neighbors (stronger than the paper's
   // directional recurrence per pass, still a necessary condition): every
   // neighbor w of u needs some candidate of w adjacent to v through an
   // edge carrying w's required edge label.
   for (const auto& [w, elabel] : adj_[u]) {
+    const Graph::NeighborSlice slice =
+        g.NeighborsWithLabelAndEdges(v, g.DenseLabel(required_label_[w]));
     bool supported = false;
-    dg.ForEachNeighbor(v, [&](VertexId vn, Label el) {
-      if (el == elabel && cand_[w].Test(vn)) {
-        supported = true;
-        return false;  // stop iteration
-      }
-      return true;
-    });
+    for (size_t i = 0; i < slice.vertices.size() && !supported; ++i) {
+      supported = slice.edge_labels[i] == elabel &&
+                  cand_[w].Test(slice.vertices[i]);
+    }
     if (!supported) return false;
   }
   return true;
 }
 
 DynamicCandidateSpace::MaintainStats DynamicCandidateSpace::Apply(
-    const DeltaGraph& dg, const NormalizedBatch& net) {
+    const Graph& g, const NormalizedBatch& net) {
   MaintainStats stats;
   const uint32_t n = query_.NumVertices();
   for (VertexId u = 0; u < n; ++u) {
-    cand_[u].GrowTo(dg.NumVertices());
+    cand_[u].GrowTo(g.NumVertices());
   }
   const uint64_t budget =
       std::max<uint64_t>(options_.rebuild_min_dirty_pairs,
@@ -125,7 +124,7 @@ DynamicCandidateSpace::MaintainStats DynamicCandidateSpace::Apply(
   // by phase 2.
   auto try_add = [&](VertexId u, VertexId v) {
     if (cand_[u].Test(v)) return;
-    if (!LocalCheck(dg, u, v)) return;
+    if (!LocalCheck(g, u, v)) return;
     cand_[u].Set(v);
     ++total_candidates_;
     flooded.push_back({u, v});
@@ -144,7 +143,7 @@ DynamicCandidateSpace::MaintainStats DynamicCandidateSpace::Apply(
   while (!stack.empty()) {
     if (stats.dirty_pairs > budget) {
       const uint64_t before = total_candidates_;
-      Rebuild(dg);
+      Rebuild(g);
       stats.rebuilt = true;
       stats.added_pairs = 0;
       stats.removed_pairs =
@@ -154,10 +153,11 @@ DynamicCandidateSpace::MaintainStats DynamicCandidateSpace::Apply(
     auto [u, v] = stack.back();
     stack.pop_back();
     for (const auto& [w, elabel] : adj_[u]) {
-      dg.ForEachNeighbor(v, [&](VertexId vn, Label el) {
-        if (el == elabel) try_add(w, vn);
-        return true;
-      });
+      const Graph::NeighborSlice slice =
+          g.NeighborsWithLabelAndEdges(v, g.DenseLabel(required_label_[w]));
+      for (size_t i = 0; i < slice.vertices.size(); ++i) {
+        if (slice.edge_labels[i] == elabel) try_add(w, slice.vertices[i]);
+      }
     }
   }
 
@@ -167,7 +167,7 @@ DynamicCandidateSpace::MaintainStats DynamicCandidateSpace::Apply(
   // flood did not check support).
   std::vector<Pair> worklist = std::move(flooded);
   auto seed_check = [&](VertexId v) {
-    if (v >= dg.NumVertices()) return;
+    if (v >= g.NumVertices()) return;
     for (VertexId u = 0; u < n; ++u) {
       if (cand_[u].Test(v)) worklist.push_back({u, v});
     }
@@ -176,12 +176,11 @@ DynamicCandidateSpace::MaintainStats DynamicCandidateSpace::Apply(
     // A removal at data vertex v can only break support of pairs whose
     // data vertex is adjacent to v (plus local filters at v itself, which
     // seed_check covers for edge removals).
-    dg.ForEachNeighbor(v, [&](VertexId vn, Label) {
+    for (VertexId vn : g.Neighbors(v)) {
       for (VertexId u = 0; u < n; ++u) {
         if (cand_[u].Test(vn)) worklist.push_back({u, vn});
       }
-      return true;
-    });
+    }
   };
   for (VertexId v : net.removed_vertices) {
     for (VertexId u = 0; u < n; ++u) {
@@ -209,12 +208,12 @@ DynamicCandidateSpace::MaintainStats DynamicCandidateSpace::Apply(
     ++stats.dirty_pairs;
     if (stats.dirty_pairs > budget) {
       const uint64_t before_added = stats.added_pairs;
-      Rebuild(dg);
+      Rebuild(g);
       stats.rebuilt = true;
       stats.added_pairs = before_added;  // flood already counted; keep
       return stats;
     }
-    if (FullCheck(dg, u, v)) continue;
+    if (FullCheck(g, u, v)) continue;
     cand_[u].Clear(v);
     --total_candidates_;
     ++stats.removed_pairs;

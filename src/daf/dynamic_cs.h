@@ -12,14 +12,17 @@
 
 namespace daf::dyn {
 
-/// Incrementally maintained candidate sets for one standing query over a
-/// DeltaGraph — the dynamic counterpart of CandidateSpace's DP-refined C(u)
-/// sets, extended from build-once to maintain-under-updates.
+/// Incrementally maintained candidate sets for one standing query over the
+/// CSR snapshots of a dynamic graph — the dynamic counterpart of
+/// CandidateSpace's DP-refined C(u) sets, extended from build-once to
+/// maintain-under-updates.
 ///
 /// What is maintained is the candidate *membership bitmaps* only (one
 /// Bitset over data vertices per query vertex), not the CS edge arrays:
-/// the delta enumerator checks adjacency directly against the DeltaGraph,
-/// so edges need not be materialized. The maintained invariant is
+/// the delta enumerator checks adjacency directly against the snapshot,
+/// so edges need not be materialized. Snapshots are read by original label
+/// (a Graph::DenseLabel lookup per use: a batch that adds a label shifts
+/// the dense ids). The maintained invariant is
 ///
 ///   cand(u) ⊇ { v : some embedding of the query in the current graph
 ///               maps u to v }                                (soundness)
@@ -32,7 +35,7 @@ namespace daf::dyn {
 /// the exact weak-embedding DP), trading a few extra candidates for
 /// touching only the dirty region.
 ///
-/// Per batch (after DeltaGraph::ApplyBatch), `Apply(net)` runs:
+/// Per batch, `Apply(g, net)` runs against the post-batch snapshot `g`:
 ///   1. *Addition flood* — C_ini-style unconditional adds (local filters
 ///      only, no support check) seeded at inserted-edge endpoints and new
 ///      vertices, propagating through *absent* eligible pairs along
@@ -49,8 +52,8 @@ namespace daf::dyn {
 ///      justified by a violated necessary condition, hence sound.
 /// When the dirty region (flooded + re-checked pairs) exceeds the budget,
 /// the incremental pass aborts into a full from-scratch rebuild
-/// (QueryDag + CandidateSpace::Build on the materialized snapshot), which
-/// is also the initial-construction path.
+/// (QueryDag + CandidateSpace::Build on the snapshot), which is also the
+/// initial-construction path.
 class DynamicCandidateSpace {
  public:
   struct Options {
@@ -77,19 +80,26 @@ class DynamicCandidateSpace {
     uint64_t removed_pairs = 0;  // net removals from the bitmaps
   };
 
-  /// Builds the initial candidate sets for `query` against the current
-  /// state of `dg` (a full from-scratch build). The DeltaGraph is not
-  /// retained; every later call must pass the same one.
+  /// Builds the initial candidate sets for `query` against snapshot `g`
+  /// (a full from-scratch build). The snapshot is not retained.
+  DynamicCandidateSpace(const Graph& query, const Graph& g, Options options);
+
+  /// Advances the candidate sets across one applied batch: `g` is the
+  /// post-batch snapshot and `net` the net batch that produced it
+  /// (DeltaGraph::Normalize / ApplyBatch), once per version step.
+  MaintainStats Apply(const Graph& g, const NormalizedBatch& net);
+
+  /// Full from-scratch rebuild against snapshot `g`.
+  void Rebuild(const Graph& g);
+
+  // DeltaGraph forwarding overloads for perfbench's TraceBatches (with
+  // DeltaEnumerator's two); the next benchmark change deletes all four.
   DynamicCandidateSpace(const Graph& query, const DeltaGraph& dg,
-                        Options options);
-
-  /// Advances the candidate sets across one applied batch. Must be called
-  /// with the *net* batch returned by DeltaGraph::ApplyBatch, after that
-  /// call succeeded, once per version step.
-  MaintainStats Apply(const DeltaGraph& dg, const NormalizedBatch& net);
-
-  /// Full from-scratch rebuild against the current state of `dg`.
-  void Rebuild(const DeltaGraph& dg);
+                        Options options)
+      : DynamicCandidateSpace(query, *dg.Materialize(), options) {}
+  MaintainStats Apply(const DeltaGraph& dg, const NormalizedBatch& net) {
+    return Apply(*dg.Materialize(), net);
+  }
 
   /// Candidate membership.
   bool Has(VertexId u, VertexId v) const { return cand_[u].Test(v); }
@@ -108,8 +118,8 @@ class DynamicCandidateSpace {
   const Options& options() const { return options_; }
 
  private:
-  bool LocalCheck(const DeltaGraph& dg, VertexId u, VertexId v) const;
-  bool FullCheck(const DeltaGraph& dg, VertexId u, VertexId v) const;
+  bool LocalCheck(const Graph& g, VertexId u, VertexId v) const;
+  bool FullCheck(const Graph& g, VertexId u, VertexId v) const;
 
   Graph query_;
   Options options_;

@@ -50,19 +50,19 @@ DeltaEnumerator::DeltaEnumerator(const Graph& query,
 }
 
 DeltaEnumResult DeltaEnumerator::Created(
-    const DeltaGraph& dg, const NormalizedBatch& net,
+    const Graph& g, const NormalizedBatch& net,
     const DeltaEnumOptions& options) const {
-  return Enumerate(dg, net.inserts, net.new_vertices, options);
+  return Enumerate(g, net.inserts, net.new_vertices, options);
 }
 
 DeltaEnumResult DeltaEnumerator::Destroyed(
-    const DeltaGraph& dg, const NormalizedBatch& net,
+    const Graph& g, const NormalizedBatch& net,
     const DeltaEnumOptions& options) const {
-  return Enumerate(dg, net.removes, net.removed_vertices, options);
+  return Enumerate(g, net.removes, net.removed_vertices, options);
 }
 
 DeltaEnumResult DeltaEnumerator::Enumerate(
-    const DeltaGraph& dg, const std::vector<EdgeUpdate>& changed,
+    const Graph& g, const std::vector<EdgeUpdate>& changed,
     const std::vector<VertexId>& changed_vertices,
     const DeltaEnumOptions& options) const {
   DeltaEnumResult result;
@@ -142,7 +142,7 @@ DeltaEnumResult DeltaEnumerator::Enumerate(
     }
     const VertexId u = so.order[depth];
     // Pivot: the first already-mapped query neighbor; its image's
-    // adjacency generates the candidates.
+    // neighbors with u's label generate the candidates.
     VertexId pivot = kInvalidVertex;
     Label pivot_elabel = 0;
     auto u_neighbors = query_.Neighbors(u);
@@ -155,29 +155,32 @@ DeltaEnumResult DeltaEnumerator::Enumerate(
       }
     }
     assert(pivot != kInvalidVertex);  // BFS order guarantees one
-    bool keep_going = true;
     const Bitset& cand = cs_.Candidates(u);
-    dg.ForEachNeighbor(embedding[pivot], [&](VertexId v, Label el) {
-      if (el != pivot_elabel) return true;
-      if (v >= cand.size() || !cand.Test(v)) return true;
-      if (injective) {
-        for (uint32_t d = 0; d < depth; ++d) {
-          if (embedding[so.order[d]] == v) return true;
-        }
+    const Graph::NeighborSlice slice = g.NeighborsWithLabelAndEdges(
+        embedding[pivot], g.DenseLabel(query_.original_label(query_.label(u))));
+    for (size_t k = 0; k < slice.vertices.size(); ++k) {
+      const VertexId v = slice.vertices[k];
+      if (slice.edge_labels[k] != pivot_elabel) continue;
+      if (v >= cand.size() || !cand.Test(v)) continue;
+      if (injective &&
+          std::find(embedding.begin(), embedding.end(), v) != embedding.end()) {
+        continue;
       }
       // Every other mapped neighbor must also be adjacent with the right
       // edge label.
-      for (size_t i = 0; i < u_neighbors.size(); ++i) {
+      bool fits = true;
+      for (size_t i = 0; i < u_neighbors.size() && fits; ++i) {
         const VertexId w = u_neighbors[i];
-        if (w == pivot || so.pos[w] >= depth) continue;
-        if (!dg.HasEdgeWithLabel(embedding[w], v, u_elabels[i])) return true;
+        fits = w == pivot || so.pos[w] >= depth ||
+               g.HasEdgeWithLabel(embedding[w], v, u_elabels[i]);
       }
+      if (!fits) continue;
       embedding[u] = v;
-      keep_going = self(self, so, depth + 1, seed_i, seed_qe);
+      const bool keep_going = self(self, so, depth + 1, seed_i, seed_qe);
       embedding[u] = kInvalidVertex;
-      return keep_going;
-    });
-    return keep_going;
+      if (!keep_going) return false;
+    }
+    return true;
   };
 
   for (uint32_t i = 0; i < changed.size() && !stopped; ++i) {

@@ -35,7 +35,10 @@ struct DeltaEnumResult {
 /// must touch a net-changed edge, so enumeration is *seeded* there — one
 /// query edge pinned onto each changed data edge (both orientations), the
 /// rest of the query matched by DFS outward from the pinned pair, pruned
-/// by the DynamicCandidateSpace bitmaps and direct DeltaGraph adjacency.
+/// by the DynamicCandidateSpace bitmaps. Each extension scans the pivot's
+/// label-grouped neighbor slice in a CSR snapshot (looked up by original
+/// label, as DynamicCandidateSpace does) and tests the other mapped
+/// neighbors with Graph::HasEdgeWithLabel.
 ///
 /// Exactness (net-batch semantics):
 ///   * `Created` enumerates embeddings of the *post-batch* graph that use
@@ -44,8 +47,8 @@ struct DeltaEnumResult {
 ///     using any inserted edge could not have).
 ///   * `Destroyed` enumerates embeddings of the *pre-batch* graph that use
 ///     at least one net-removed edge — exactly the embeddings the batch
-///     destroyed. It must therefore run BEFORE DeltaGraph::ApplyBatch,
-///     against the pre-batch graph and pre-batch bitmaps.
+///     destroyed. It therefore reads the pre-batch snapshot and must run
+///     before DynamicCandidateSpace::Apply, against the pre-batch bitmaps.
 ///   An edge label change appears as remove(old)+insert(new), destroying
 ///   and creating accordingly. Vertex removals were expanded into
 ///   incident-edge removals by Normalize; new/removed vertices only
@@ -61,20 +64,30 @@ struct DeltaEnumResult {
 /// exactly one seed.
 class DeltaEnumerator {
  public:
-  /// `cs` must outlive this object and stay in sync with the DeltaGraph
+  /// `cs` must outlive this object and stay in sync with the snapshot
   /// passed to Created/Destroyed (post-batch bitmaps for Created,
   /// pre-batch bitmaps for Destroyed).
   DeltaEnumerator(const Graph& query, const DynamicCandidateSpace& cs);
 
-  /// Embeddings created by the net batch. Call after ApplyBatch and after
-  /// DynamicCandidateSpace::Apply.
-  DeltaEnumResult Created(const DeltaGraph& dg, const NormalizedBatch& net,
+  /// Embeddings created by the net batch: `g` is the post-batch snapshot.
+  /// Call after DynamicCandidateSpace::Apply.
+  DeltaEnumResult Created(const Graph& g, const NormalizedBatch& net,
                           const DeltaEnumOptions& options) const;
 
-  /// Embeddings destroyed by the net batch. Call before ApplyBatch, with
-  /// the net batch obtained from DeltaGraph::Normalize.
-  DeltaEnumResult Destroyed(const DeltaGraph& dg, const NormalizedBatch& net,
+  /// Embeddings destroyed by the net batch (from DeltaGraph::Normalize):
+  /// `g` is the pre-batch snapshot.
+  DeltaEnumResult Destroyed(const Graph& g, const NormalizedBatch& net,
                             const DeltaEnumOptions& options) const;
+
+  // DeltaGraph forwarding overloads: see DynamicCandidateSpace's.
+  DeltaEnumResult Created(const DeltaGraph& dg, const NormalizedBatch& net,
+                          const DeltaEnumOptions& options) const {
+    return Created(*dg.Materialize(), net, options);
+  }
+  DeltaEnumResult Destroyed(const DeltaGraph& dg, const NormalizedBatch& net,
+                            const DeltaEnumOptions& options) const {
+    return Destroyed(*dg.Materialize(), net, options);
+  }
 
  private:
   struct SeedOrder {
@@ -83,8 +96,8 @@ class DeltaEnumerator {
   };
 
   /// Shared engine: `changed` are the seed data edges (with the labels
-  /// they carry in `dg`), `changed_vertices` seeds single-vertex queries.
-  DeltaEnumResult Enumerate(const DeltaGraph& dg,
+  /// they carry in `g`), `changed_vertices` seeds single-vertex queries.
+  DeltaEnumResult Enumerate(const Graph& g,
                             const std::vector<EdgeUpdate>& changed,
                             const std::vector<VertexId>& changed_vertices,
                             const DeltaEnumOptions& options) const;

@@ -39,10 +39,6 @@ DeltaGraph::DeltaGraph(Graph base, uint64_t initial_version, bool restore)
   snapshot_version_ = initial_version;
 }
 
-Label DeltaGraph::BaseDenseLabel(Label l) const {
-  return base_->DenseLabel(l);
-}
-
 bool DeltaGraph::EdgeInBase(VertexId u, VertexId v, Label* label_out) const {
   if (!InBase(u) || !InBase(v)) return false;
   if (!base_->HasEdge(u, v)) return false;
@@ -73,37 +69,6 @@ bool DeltaGraph::EdgeLabelNow(VertexId u, VertexId v, Label* label_out) const {
 
 bool DeltaGraph::HasEdge(VertexId u, VertexId v) const {
   return EdgeLabelNow(u, v, nullptr);
-}
-
-bool DeltaGraph::HasEdgeWithLabel(VertexId u, VertexId v,
-                                  Label edge_label) const {
-  Label l = 0;
-  return EdgeLabelNow(u, v, &l) && l == edge_label;
-}
-
-uint32_t DeltaGraph::NeighborOriginalLabelCount(VertexId v, Label l) const {
-  const Overlay* ov = OverlayFor(v);
-  uint32_t count = 0;
-  if (InBase(v)) {
-    const Label dense = BaseDenseLabel(l);
-    if (dense != kNoSuchLabel) {
-      auto slice = base_->NeighborsWithLabel(v, dense);
-      if (ov == nullptr || ov->removed.empty()) {
-        count += static_cast<uint32_t>(slice.size());
-      } else {
-        for (VertexId w : slice) {
-          if (!ov->Removed(w)) ++count;
-        }
-      }
-    }
-  }
-  if (ov != nullptr) {
-    for (const auto& [w, el] : ov->added) {
-      (void)el;
-      if (labels_[w] == l) ++count;
-    }
-  }
-  return count;
 }
 
 bool DeltaGraph::Normalize(const UpdateBatch& batch, NormalizedBatch* out,

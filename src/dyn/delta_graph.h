@@ -103,7 +103,8 @@ class DeltaGraph {
   /// Reads before/after agree, and the snapshot stays cached.
   void Compact();
 
-  // --- Read interface (original label space).
+  // --- Read interface (original label space). Standing-query code reads
+  // Materialize()'s snapshots instead.
 
   uint32_t NumVertices() const {
     return static_cast<uint32_t>(labels_.size());
@@ -122,34 +123,6 @@ class DeltaGraph {
 
   /// True iff the undirected edge (u, v) currently exists.
   bool HasEdge(VertexId u, VertexId v) const;
-
-  /// True iff (u, v) exists and carries `edge_label`.
-  bool HasEdgeWithLabel(VertexId u, VertexId v, Label edge_label) const;
-
-  /// Invokes fn(neighbor, edge_label) for every current neighbor of v, in
-  /// unspecified order. `fn` returning false stops the iteration early.
-  template <typename Fn>
-  void ForEachNeighbor(VertexId v, Fn&& fn) const {
-    const Overlay* ov = OverlayFor(v);
-    if (InBase(v)) {
-      const Graph& b = *base_;
-      auto neighbors = b.Neighbors(v);
-      auto elabels = b.NeighborEdgeLabels(v);
-      for (size_t i = 0; i < neighbors.size(); ++i) {
-        if (ov != nullptr && ov->Removed(neighbors[i])) continue;
-        if (!fn(neighbors[i], elabels[i])) return;
-      }
-    }
-    if (ov != nullptr) {
-      for (const auto& [w, l] : ov->added) {
-        if (!fn(w, l)) return;
-      }
-    }
-  }
-
-  /// Number of current neighbors of v carrying original label `l` (the NLF
-  /// value in the dynamic layer).
-  uint32_t NeighborOriginalLabelCount(VertexId v, Label l) const;
 
   /// An immutable CSR snapshot of the current state (ids preserved,
   /// tombstones as isolated kTombstoneLabel vertices). Built in O(V + E)
@@ -191,6 +164,27 @@ class DeltaGraph {
     }
   };
 
+  /// Invokes fn(neighbor, edge_label) for every current neighbor of v, in
+  /// unspecified order. `fn` returning false stops the iteration early.
+  template <typename Fn>
+  void ForEachNeighbor(VertexId v, Fn&& fn) const {
+    const Overlay* ov = OverlayFor(v);
+    if (InBase(v)) {
+      const Graph& b = *base_;
+      auto neighbors = b.Neighbors(v);
+      auto elabels = b.NeighborEdgeLabels(v);
+      for (size_t i = 0; i < neighbors.size(); ++i) {
+        if (ov != nullptr && ov->Removed(neighbors[i])) continue;
+        if (!fn(neighbors[i], elabels[i])) return;
+      }
+    }
+    if (ov != nullptr) {
+      for (const auto& [w, l] : ov->added) {
+        if (!fn(w, l)) return;
+      }
+    }
+  }
+
   bool InBase(VertexId v) const { return v < base_->NumVertices(); }
   const Overlay* OverlayFor(VertexId v) const {
     return v < overlay_.size() ? &overlay_[v] : nullptr;
@@ -201,10 +195,6 @@ class DeltaGraph {
     if (overlay_.size() < NumVertices()) overlay_.resize(NumVertices());
     return overlay_[v];
   }
-
-  /// Dense label of original label `l` in the base snapshot, or
-  /// query_extract's kNoSuchLabel when absent from the base.
-  Label BaseDenseLabel(Label l) const;
 
   void InstallEdge(VertexId u, VertexId v, Label edge_label);
   void UninstallEdge(VertexId u, VertexId v);

@@ -129,8 +129,8 @@ struct SearchState {
   uint64_t max_leaves;
   bool aborted = false;
   bool have_best = false;
-  std::vector<uint64_t> best_key;
-  Coloring best_colors;
+  std::vector<uint64_t> best_key{};
+  Coloring best_colors{};
 };
 
 // Individualization-refinement: `colors` is already refined. At a leaf the

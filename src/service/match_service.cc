@@ -529,12 +529,13 @@ SubscriptionHandle MatchService::Subscribe(QueryJob job) {
   cs_options.rebuild_min_dirty_pairs = options_.dyn_rebuild_min_dirty_pairs;
 
   std::lock_guard<std::mutex> ulock(update_mutex_);
-  // The published version equals dgraph_'s here (batches publish before
-  // releasing update_mutex_), so a job submitted after this returns runs
-  // at subscribed_version or later.
-  state->subscribed_version = dgraph_.version();
+  // Under update_mutex_ the published pair is the writer's current version
+  // (batches publish before releasing it), so a job submitted after this
+  // returns runs at subscribed_version or later.
+  const std::shared_ptr<const Published> published = published_.Load();
+  state->subscribed_version = published->version;
   state->cs = std::make_unique<dyn::DynamicCandidateSpace>(
-      state->query, dgraph_, cs_options);
+      state->query, *published->graph, cs_options);
   state->enumerator =
       std::make_unique<dyn::DeltaEnumerator>(state->query, *state->cs);
   state->active_count = active_subscriptions_;
@@ -568,8 +569,8 @@ UpdateOutcome MatchService::ApplyUpdates(const dyn::UpdateBatch& batch) {
       subscriptions_.end());
 
   // Pure pre-pass: the net change set, and per subscription the embeddings
-  // it destroys — both read the pre-batch graph, so they must run before
-  // the install. Nothing is delivered yet: if the apply itself fails (an
+  // it destroys — both read the pre-batch graph (the published snapshot,
+  // for Destroyed). Nothing is delivered yet: if the apply itself fails (an
   // injected delta_apply fault), the negatives are simply dropped and no
   // subscriber observes a version that never existed.
   dyn::NormalizedBatch net;
@@ -582,8 +583,11 @@ UpdateOutcome MatchService::ApplyUpdates(const dyn::UpdateBatch& batch) {
     return out;
   }
   std::vector<dyn::DeltaEnumResult> destroyed(subscriptions_.size());
-  for (size_t i = 0; i < subscriptions_.size(); ++i) {
-    destroyed[i] = subscriptions_[i]->enumerator->Destroyed(dgraph_, net, {});
+  {  // Scoped so that the publish below can free version v.
+    const std::shared_ptr<const Graph> before = published_.Load()->graph;
+    for (size_t i = 0; i < subscriptions_.size(); ++i) {
+      destroyed[i] = subscriptions_[i]->enumerator->Destroyed(*before, net, {});
+    }
   }
 
   // Append-before-apply (docs/PERSISTENCE.md): the normalized batch is
@@ -635,6 +639,12 @@ UpdateOutcome MatchService::ApplyUpdates(const dyn::UpdateBatch& batch) {
   out.removed_vertices = r.removed_vertices;
   out.ignored_ops = r.ignored_ops;
 
+  // The new version's snapshot, read by the post-pass; jobs see it only
+  // once Publish below stores it.
+  Stopwatch build_timer;
+  const std::shared_ptr<const Graph> after = dgraph_.Materialize();
+  out.publish_ms = build_timer.ElapsedMs();
+
   // Post-pass per subscription: maintain the candidates, enumerate the
   // created embeddings, deliver.
   uint64_t cs_incremental = 0, cs_rebuilds = 0;
@@ -644,7 +654,7 @@ UpdateOutcome MatchService::ApplyUpdates(const dyn::UpdateBatch& batch) {
   for (size_t i = 0; i < subscriptions_.size(); ++i) {
     internal::SubscriptionState& sub = *subscriptions_[i];
     Stopwatch notify_timer;
-    const auto stats = sub.cs->Apply(dgraph_, net);
+    const auto stats = sub.cs->Apply(*after, net);
     if (stats.rebuilt) {
       ++cs_rebuilds;
     } else {
@@ -653,7 +663,7 @@ UpdateOutcome MatchService::ApplyUpdates(const dyn::UpdateBatch& batch) {
     dirty_pairs += stats.dirty_pairs;
     peak_dirty = std::max(peak_dirty, stats.dirty_pairs);
 
-    dyn::DeltaEnumResult created = sub.enumerator->Created(dgraph_, net, {});
+    dyn::DeltaEnumResult created = sub.enumerator->Created(*after, net, {});
 
     DeltaBatch delta;
     delta.version = r.version;
@@ -682,11 +692,10 @@ UpdateOutcome MatchService::ApplyUpdates(const dyn::UpdateBatch& batch) {
   }
 
   // Every queue holds this version's deltas, so the version may become
-  // visible: materialize it here, on the writer (a cache hit when a CS
-  // rebuild already did), and publish it in one store.
+  // visible (the fold is a cache hit); publish_ms is the build plus this.
   Stopwatch publish_timer;
   Publish();
-  out.publish_ms = publish_timer.ElapsedMs();
+  out.publish_ms += publish_timer.ElapsedMs();
 
   if (logged && store_->CheckpointDue()) {
     // The tail a restart would replay outgrew its share of the snapshot.

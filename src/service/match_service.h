@@ -111,7 +111,7 @@ struct ServiceOptions {
   /// and after a publish the WAL is rolled into a fresh snapshot whenever
   /// the store's CheckpointDue() holds (the tail a restart would replay
   /// has reached max(64 KiB, a quarter of the snapshot)).
-  std::shared_ptr<persist::DurableStore> data_store;
+  std::shared_ptr<persist::DurableStore> data_store = nullptr;
 };
 
 /// A transport-agnostic concurrent subgraph-match service: owns one shared

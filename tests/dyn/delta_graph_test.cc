@@ -39,8 +39,9 @@ TEST(DeltaGraphTest, InitialStateMatchesBase) {
   EXPECT_EQ(dg.OriginalLabel(0), 10u);
   EXPECT_EQ(dg.OriginalLabel(4), 30u);
   EXPECT_EQ(dg.Degree(1), 3u);
-  EXPECT_EQ(dg.NeighborOriginalLabelCount(1, 10), 2u);
-  EXPECT_EQ(dg.NeighborOriginalLabelCount(1, 30), 1u);
+  std::shared_ptr<const Graph> snap = dg.Materialize();
+  EXPECT_EQ(snap->NeighborLabelCount(1, snap->DenseLabel(10)), 2u);
+  EXPECT_EQ(snap->NeighborLabelCount(1, snap->DenseLabel(30)), 1u);
 }
 
 TEST(DeltaGraphTest, InsertAndRemoveEdges) {
@@ -60,9 +61,10 @@ TEST(DeltaGraphTest, InsertAndRemoveEdges) {
   EXPECT_EQ(dg.Degree(1), 2u);
   ASSERT_EQ(net.inserts.size(), 1u);
   EXPECT_EQ(net.removes.size(), 1u);
-  // NLF view follows.
-  EXPECT_EQ(dg.NeighborOriginalLabelCount(1, 10), 1u);
-  EXPECT_EQ(dg.NeighborOriginalLabelCount(0, 20), 2u);
+  // The snapshot's NLF view follows.
+  std::shared_ptr<const Graph> snap = dg.Materialize();
+  EXPECT_EQ(snap->NeighborLabelCount(1, snap->DenseLabel(10)), 1u);
+  EXPECT_EQ(snap->NeighborLabelCount(0, snap->DenseLabel(20)), 2u);
 }
 
 TEST(DeltaGraphTest, NetCancellationWithinBatch) {
@@ -95,8 +97,8 @@ TEST(DeltaGraphTest, EdgeLabelChangeAppearsInBothLists) {
   ASSERT_EQ(net.inserts.size(), 1u);
   EXPECT_EQ(net.removes[0].edge_label, 5u);
   EXPECT_EQ(net.inserts[0].edge_label, 7u);
-  EXPECT_TRUE(dg.HasEdgeWithLabel(0, 1, 7));
-  EXPECT_FALSE(dg.HasEdgeWithLabel(0, 1, 5));
+  EXPECT_TRUE(dg.Materialize()->HasEdgeWithLabel(0, 1, 7));
+  EXPECT_FALSE(dg.Materialize()->HasEdgeWithLabel(0, 1, 5));
   EXPECT_EQ(dg.NumEdges(), 2u);
 }
 
@@ -281,7 +283,7 @@ void RandomizedDifferential(int compact_every, uint64_t seed) {
       auto neighbors = snap->Neighbors(v);
       auto elabels = snap->NeighborEdgeLabels(v);
       for (size_t i = 0; i < neighbors.size(); ++i) {
-        EXPECT_TRUE(dg.HasEdgeWithLabel(v, neighbors[i], elabels[i]));
+        EXPECT_TRUE(dg.HasEdge(v, neighbors[i]));
         if (v < neighbors[i]) {
           auto it = edge_map.find({v, neighbors[i]});
           ASSERT_NE(it, edge_map.end());
@@ -380,7 +382,7 @@ TEST(DeltaGraphTest, ApplyNormalizedRejectsRecordsThatContradictTheGraph) {
   relabel.inserts.push_back({0, 1, 5});
   const ApplyResult r = dg.ApplyNormalized(relabel, {});
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_TRUE(dg.HasEdgeWithLabel(0, 1, 5));
+  EXPECT_TRUE(dg.Materialize()->HasEdgeWithLabel(0, 1, 5));
   ExpectSnapshotMatchesReference(dg);
 }
 

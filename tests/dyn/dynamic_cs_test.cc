@@ -56,7 +56,7 @@ TEST(DynamicCsTest, InitialBuildMatchesFreshCandidates) {
   Graph data = Graph::FromEdges({1, 2, 3, 1, 2},
                                 {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {1, 3}});
   DeltaGraph dg(std::move(data));
-  DynamicCandidateSpace cs(query, dg, {});
+  DynamicCandidateSpace cs(query, *dg.Materialize(), {});
   ExpectCoversEmbeddings(cs, query, dg, /*injective=*/true);
   ExpectLabelsRespected(cs, query, dg);
   EXPECT_FALSE(cs.EmptySomewhere());
@@ -70,14 +70,14 @@ TEST(DynamicCsTest, NewTriangleIsFloodedIn) {
   DeltaGraph dg(std::move(data));
   DynamicCandidateSpace::Options options;
   options.rebuild_min_dirty_pairs = 1u << 30;  // force the incremental path
-  DynamicCandidateSpace cs(query, dg, options);
+  DynamicCandidateSpace cs(query, *dg.Materialize(), options);
 
   UpdateBatch batch;
   batch.AddVertex(1).AddVertex(2).AddVertex(3);
   batch.InsertEdge(3, 4).InsertEdge(4, 5).InsertEdge(5, 3);
   NormalizedBatch net;
   ASSERT_TRUE(dg.ApplyBatch(batch, &net).ok);
-  auto stats = cs.Apply(dg, net);
+  auto stats = cs.Apply(*dg.Materialize(), net);
   EXPECT_FALSE(stats.rebuilt);
   EXPECT_GT(stats.added_pairs, 0u);
   EXPECT_TRUE(cs.Has(0, 3));
@@ -94,14 +94,14 @@ TEST(DynamicCsTest, RemovalCascades) {
   DeltaGraph dg(std::move(data));
   DynamicCandidateSpace::Options options;
   options.rebuild_min_dirty_pairs = 1u << 30;
-  DynamicCandidateSpace cs(query, dg, options);
+  DynamicCandidateSpace cs(query, *dg.Materialize(), options);
   ASSERT_TRUE(cs.Has(0, 0));
 
   UpdateBatch batch;
   batch.RemoveEdge(1, 2);
   NormalizedBatch net;
   ASSERT_TRUE(dg.ApplyBatch(batch, &net).ok);
-  auto stats = cs.Apply(dg, net);
+  auto stats = cs.Apply(*dg.Materialize(), net);
   EXPECT_FALSE(stats.rebuilt);
   EXPECT_GT(stats.removed_pairs, 0u);
   EXPECT_FALSE(cs.Has(2, 2));  // lost its edge
@@ -117,14 +117,14 @@ TEST(DynamicCsTest, DirtyBudgetTriggersRebuild) {
   DynamicCandidateSpace::Options options;
   options.rebuild_min_dirty_pairs = 0;
   options.rebuild_dirty_fraction = 0.0;  // any dirty work → rebuild
-  DynamicCandidateSpace cs(query, dg, options);
+  DynamicCandidateSpace cs(query, *dg.Materialize(), options);
   ASSERT_TRUE(cs.Has(0, 1));
 
   UpdateBatch batch;
   batch.RemoveEdge(0, 1);  // seeds re-checks at both endpoints
   NormalizedBatch net;
   ASSERT_TRUE(dg.ApplyBatch(batch, &net).ok);
-  auto stats = cs.Apply(dg, net);
+  auto stats = cs.Apply(*dg.Materialize(), net);
   EXPECT_TRUE(stats.rebuilt);
   EXPECT_FALSE(cs.Has(0, 1));
   ExpectCoversEmbeddings(cs, query, dg, true);
@@ -145,7 +145,7 @@ TEST(DynamicCsTest, RandomizedMaintenanceStaysSoundBothPaths) {
         options.rebuild_min_dirty_pairs = 0;
         options.rebuild_dirty_fraction = 0.0;
       }
-      DynamicCandidateSpace cs(query, dg, options);
+      DynamicCandidateSpace cs(query, *dg.Materialize(), options);
       for (int round = 0; round < 30; ++round) {
         UpdateBatch batch;
         for (int i = 0; i < 3; ++i) {
@@ -165,7 +165,7 @@ TEST(DynamicCsTest, RandomizedMaintenanceStaysSoundBothPaths) {
         }
         NormalizedBatch net;
         ASSERT_TRUE(dg.ApplyBatch(batch, &net).ok);
-        auto stats = cs.Apply(dg, net);
+        auto stats = cs.Apply(*dg.Materialize(), net);
         if (force_incremental) {
           EXPECT_FALSE(stats.rebuilt);
         }

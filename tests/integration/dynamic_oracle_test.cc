@@ -7,7 +7,10 @@
 // The matrix covers injective and homomorphism matching, unlabeled and
 // edge-labeled graphs, and both maintenance paths (forced-incremental and
 // forced-rebuild budgets): 8 configurations x 25 batches = 200 oracle
-// checks. Runs under ASan and TSan in CI.
+// checks. A label-shift input on both paths adds 50 more: its batches add
+// vertices with labels between the base's, which shifts every later
+// snapshot's dense label ids, and one standing query subscribes to a label
+// no vertex carries yet. Runs under ASan and TSan in CI.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -34,25 +37,41 @@ struct OracleConfig {
   bool edge_labels = false;
   bool force_incremental = true;
   uint64_t seed = 0;
+  /// Base labels 2l+1 ({1, 3, 5}); added vertices take the even labels
+  /// 2 or 4 in between.
+  bool label_shift = false;
 };
 
-// A connected random graph over 3 vertex labels, with edge labels in
-// {1, 2} when requested (0 would be the "unlabeled" label).
-Graph RandomData(uint32_t n, uint64_t m, bool edge_labels, Rng& rng) {
+// A connected random graph over 3 vertex labels ({0, 1, 2}, or {1, 3, 5}
+// under label_shift), with edge labels in {1, 2} when requested (0 would
+// be the "unlabeled" label).
+Graph RandomData(uint32_t n, uint64_t m, const OracleConfig& config,
+                 Rng& rng) {
   std::vector<Edge> edges = ErdosRenyiEdges(n, m, rng);
   ConnectComponents(n, &edges, rng);
   std::vector<Label> labels = ZipfLabels(n, 3, 0.5, rng);
-  if (!edge_labels) return Graph::FromEdges(std::move(labels), edges);
+  if (config.label_shift) {
+    for (Label& l : labels) l = 2 * l + 1;
+  }
+  if (!config.edge_labels) return Graph::FromEdges(std::move(labels), edges);
   std::vector<Label> elabels(edges.size());
   for (Label& l : elabels) l = 1 + static_cast<Label>(rng.UniformInt(2));
   return Graph::FromLabeledEdges(std::move(labels), edges, elabels);
 }
 
 // The standing queries of one configuration: a path and a cycle over the
-// data's label alphabet (edge-labeled variants when the data is).
-std::vector<Graph> StandingQueries(bool edge_labels) {
+// data's label alphabet (edge-labeled variants when the data is). Under
+// label_shift a third query, the last, needs label 2, which only vertices
+// added by batches carry.
+std::vector<Graph> StandingQueries(const OracleConfig& config) {
   std::vector<Graph> queries;
-  if (!edge_labels) {
+  if (config.label_shift) {
+    queries.push_back(MakePath({1, 3, 1}));
+    queries.push_back(MakeCycle({1, 3, 5}));
+    queries.push_back(MakePath({2, 1}));
+    return queries;
+  }
+  if (!config.edge_labels) {
     queries.push_back(MakePath({0, 1, 0}));
     queries.push_back(MakeCycle({0, 1, 2}));
     return queries;
@@ -78,7 +97,7 @@ EmbeddingSet FreshMatch(const Graph& query, const Graph& data,
 // One random batch against the current snapshot: edge inserts and removes,
 // occasional vertex additions (immediately connected) and removals. Only
 // alive vertices are referenced, so every batch is valid.
-dyn::UpdateBatch RandomBatch(const Graph& snapshot, bool edge_labels,
+dyn::UpdateBatch RandomBatch(const Graph& snapshot, const OracleConfig& config,
                              Rng& rng) {
   const uint32_t n = snapshot.NumVertices();
   std::vector<VertexId> alive;
@@ -91,7 +110,8 @@ dyn::UpdateBatch RandomBatch(const Graph& snapshot, bool edge_labels,
   }
   auto pick_alive = [&] { return alive[rng.UniformInt(alive.size())]; };
   auto edge_label = [&]() -> Label {
-    return edge_labels ? 1 + static_cast<Label>(rng.UniformInt(2)) : 0;
+    return config.edge_labels ? 1 + static_cast<Label>(rng.UniformInt(2))
+                              : 0;
   };
 
   dyn::UpdateBatch batch;
@@ -111,7 +131,9 @@ dyn::UpdateBatch RandomBatch(const Graph& snapshot, bool edge_labels,
       }
     } else if (p < 0.92) {
       // New vertex, wired in immediately so the graph stays interesting.
-      const Label l = static_cast<Label>(rng.UniformInt(3));
+      const Label l =
+          config.label_shift ? 2 + 2 * static_cast<Label>(rng.UniformInt(2))
+                             : static_cast<Label>(rng.UniformInt(3));
       batch.AddVertex(l);
       batch.InsertEdge(next_new, pick_alive(), edge_label());
       ++next_new;
@@ -126,7 +148,8 @@ void RunOracle(const OracleConfig& config) {
   SCOPED_TRACE("injective=" + std::to_string(config.injective) +
                " edge_labels=" + std::to_string(config.edge_labels) +
                " incremental=" + std::to_string(config.force_incremental) +
-               " seed=" + std::to_string(config.seed));
+               " seed=" + std::to_string(config.seed) +
+               " label_shift=" + std::to_string(config.label_shift));
   Rng rng(config.seed);
 
   ServiceOptions options;
@@ -137,12 +160,12 @@ void RunOracle(const OracleConfig& config) {
     options.dyn_rebuild_min_dirty_pairs = 0;
     options.dyn_rebuild_dirty_fraction = 0.0;  // every batch rebuilds
   }
-  MatchService service(RandomData(28, 60, config.edge_labels, rng),
-                       options);
+  MatchService service(RandomData(28, 60, config, rng), options);
 
-  std::vector<Graph> queries = StandingQueries(config.edge_labels);
+  std::vector<Graph> queries = StandingQueries(config);
   std::vector<SubscriptionHandle> subs;
   std::vector<EmbeddingSet> live;
+  std::vector<uint64_t> created(queries.size(), 0);
   for (const Graph& q : queries) {
     QueryJob job;
     job.query = q;
@@ -156,7 +179,7 @@ void RunOracle(const OracleConfig& config) {
   for (int round = 0; round < kBatches; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
     dyn::UpdateBatch batch =
-        RandomBatch(*service.Snapshot(), config.edge_labels, rng);
+        RandomBatch(*service.Snapshot(), config, rng);
     UpdateOutcome out = service.ApplyUpdates(batch);
     ASSERT_TRUE(out.ok) << out.error;
 
@@ -167,6 +190,7 @@ void RunOracle(const OracleConfig& config) {
         ASSERT_FALSE(db.resync);
         for (EmbeddingDelta& d : db.deltas) {
           if (d.created) {
+            ++created[s];
             ASSERT_TRUE(live[s].insert(std::move(d.embedding)).second)
                 << "duplicate created delta";
           } else {
@@ -191,6 +215,10 @@ void RunOracle(const OracleConfig& config) {
     EXPECT_GT(m.dyn_cs_rebuilds, 0u);
   }
   EXPECT_EQ(m.dyn_batches_applied, static_cast<uint64_t>(kBatches));
+  if (config.label_shift) {
+    // The query on the label absent at subscribe time saw it arrive.
+    EXPECT_GT(created.back(), 0u);
+  }
 }
 
 TEST(DynamicOracleTest, InjectiveUnlabeledIncremental) {
@@ -216,6 +244,12 @@ TEST(DynamicOracleTest, HomomorphismEdgeLabeledIncremental) {
 }
 TEST(DynamicOracleTest, HomomorphismEdgeLabeledRebuild) {
   RunOracle({false, true, false, 108});
+}
+TEST(DynamicOracleTest, LabelShiftIncremental) {
+  RunOracle({true, false, true, 109, true});
+}
+TEST(DynamicOracleTest, LabelShiftRebuild) {
+  RunOracle({true, false, false, 110, true});
 }
 
 }  // namespace
