@@ -319,13 +319,11 @@ BENCHMARK(BM_LoadGraphSnapshot);
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Intersection kernel matrix: every kernel (merge, gallop, SSE, AVX2,
-// bitmap, dispatch) timed over a (size-ratio x density) grid, written to
+// Intersection kernel matrix: every kernel (merge, gallop, bitmap,
+// dispatch) timed over a (size-ratio x density) grid, written to
 // BENCH_micro.json. In --smoke mode the matrix doubles as a perf gate: the
-// best SIMD kernel must not lose to the scalar merge on the dense
-// comparable-size shape, and the dispatcher must stay within generous slack
-// of the best hand-picked kernel everywhere (i.e. its heuristics never pick
-// a disastrous kernel).
+// dispatcher must stay within generous slack of the best hand-picked kernel
+// everywhere (i.e. its heuristics never pick a disastrous kernel).
 // ---------------------------------------------------------------------------
 
 // `n` sorted unique values spread over [0, universe) with average gap
@@ -387,22 +385,15 @@ int RunKernelMatrix(bool smoke) {
       {256, 32, 20}, {256, 32, 200}, {256, 32, 500},
       {64, 256, 20}, {64, 256, 200}, {64, 256, 500},
   };
-  const SimdLevel level = DetectedSimdLevel();
-  const char* level_name = level == SimdLevel::kAvx2  ? "avx2"
-                           : level == SimdLevel::kSse ? "sse"
-                                                      : "none";
 
   obs::JsonWriter w;
   w.BeginObject();
   w.Key("bench").String("micro_intersect_kernels");
-  w.Key("simd_level").String(level_name);
   w.Key("smoke").Bool(smoke);
   w.Key("rows").BeginArray();
 
   bool gate_ok = true;
   std::string gate_log;
-  double dense_eq_merge_ns = -1.0;
-  double dense_eq_simd_ns = -1.0;
 
   for (const Shape& shape : shapes) {
     const size_t large_n = shape.small_n * shape.ratio;
@@ -415,7 +406,7 @@ int RunKernelMatrix(bool smoke) {
     const std::vector<uint32_t> large =
         DensityControlledList(rng, large_n, universe);
     const size_t na = small.size(), nb = large.size();
-    std::vector<uint32_t> out(std::min(na, nb) + kIntersectOutPad);
+    std::vector<uint32_t> out(std::min(na, nb));
     BitmapScratch bitmap_scratch;
     const uint32_t* lists[2] = {small.data(), large.data()};
     const size_t sizes[2] = {na, nb};
@@ -433,22 +424,6 @@ int RunKernelMatrix(bool smoke) {
         [&] { return IntersectGallopKernel(small.data(), na, large.data(), nb,
                                            out.data()); },
         min_ms)});
-    if (intersect_internal::CpuSupportsSse()) {
-      timings.push_back({"sse", NsPerOp(
-          [&] {
-            return intersect_internal::IntersectSseKernel(
-                small.data(), na, large.data(), nb, out.data());
-          },
-          min_ms)});
-    }
-    if (intersect_internal::CpuSupportsAvx2()) {
-      timings.push_back({"avx2", NsPerOp(
-          [&] {
-            return intersect_internal::IntersectAvx2Kernel(
-                small.data(), na, large.data(), nb, out.data());
-          },
-          min_ms)});
-    }
     timings.push_back({"bitmap", NsPerOp(
         [&] {
           return IntersectBitmapKernel(lists, sizes, 2,
@@ -464,7 +439,6 @@ int RunKernelMatrix(bool smoke) {
         min_ms)});
 
     double merge_ns = 0, gallop_ns = 0, dispatch_ns = 0;
-    double best_simd_ns = -1.0;
     for (const Timing& t : timings) {
       w.BeginObject();
       w.Key("kernel").String(t.kernel);
@@ -479,37 +453,9 @@ int RunKernelMatrix(bool smoke) {
       if (name == "merge") merge_ns = t.ns;
       if (name == "gallop") gallop_ns = t.ns;
       if (name == "dispatch") dispatch_ns = t.ns;
-      if (name == "sse" || name == "avx2") {
-        if (best_simd_ns < 0 || t.ns < best_simd_ns) best_simd_ns = t.ns;
-      }
     }
 
-    // Gate 1 input: the dense comparable-size shape the SIMD kernels exist
-    // for (the dense-CS-segment regime of ComputeExtendableCandidates).
-    // Re-measured like the parity gate when the first reading looks like a
-    // loss — only a reproducible loss should fail CI.
-    if (shape.ratio == 1 && shape.density_permille == 500) {
-      for (int attempt = 0;
-           attempt < 2 && level == SimdLevel::kAvx2 && best_simd_ns >= 0 &&
-           best_simd_ns > merge_ns * 1.05;
-           ++attempt) {
-        merge_ns = NsPerOp(
-            [&] {
-              return IntersectMergeKernel(small.data(), na, large.data(), nb,
-                                          out.data());
-            },
-            min_ms);
-        best_simd_ns = NsPerOp(
-            [&] {
-              return intersect_internal::IntersectAvx2Kernel(
-                  small.data(), na, large.data(), nb, out.data());
-            },
-            min_ms);
-      }
-      dense_eq_merge_ns = merge_ns;
-      dense_eq_simd_ns = best_simd_ns;
-    }
-    // Gate 2: the dispatcher must track the best baseline kernel within
+    // The gate: the dispatcher must track the best baseline kernel within
     // generous slack on every shape (timing noise plus a flat floor for
     // the dispatch branch itself).
     // 1.75x: wide enough for boundary shapes (at exactly kGallopRatio the
@@ -554,30 +500,8 @@ int RunKernelMatrix(bool smoke) {
   }
   w.EndArray();
 
-  // Gate 1: on the dense comparable-size shape the SIMD kernel must at
-  // least match the scalar merge (the full-mode runs show the real margin;
-  // the smoke gate only catches a kernel that silently became a loss).
-  // Gated at the AVX2 tier only: the 128-bit SSE path is an out-of-line
-  // fallback whose margin over the inlined merge is CPU-dependent.
-  const bool simd_gate_applicable =
-      level == SimdLevel::kAvx2 && dense_eq_simd_ns >= 0;
-  if (simd_gate_applicable &&
-      dense_eq_simd_ns > dense_eq_merge_ns * 1.05) {
-    gate_ok = false;
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "simd %.0fns slower than merge %.0fns on dense "
-                  "comparable-size shape; ",
-                  dense_eq_simd_ns, dense_eq_merge_ns);
-    gate_log += buf;
-  }
   w.Key("gate").BeginObject();
   w.Key("checked").Bool(smoke);
-  w.Key("simd_gate_applicable").Bool(simd_gate_applicable);
-  if (simd_gate_applicable) {
-    w.Key("dense_eq_simd_speedup")
-        .Double(dense_eq_merge_ns / dense_eq_simd_ns);
-  }
   w.Key("ok").Bool(gate_ok);
   if (!gate_ok) w.Key("log").String(gate_log);
   w.EndObject();
@@ -586,14 +510,7 @@ int RunKernelMatrix(bool smoke) {
   std::ofstream file("BENCH_micro.json");
   file << w.str() << "\n";
   file.close();
-  std::fprintf(stderr, "kernel matrix written to BENCH_micro.json (simd=%s)\n",
-               level_name);
-  if (simd_gate_applicable) {
-    std::fprintf(stderr, "dense comparable-size: simd %.0fns vs merge %.0fns "
-                 "(%.2fx)\n",
-                 dense_eq_simd_ns, dense_eq_merge_ns,
-                 dense_eq_merge_ns / dense_eq_simd_ns);
-  }
+  std::fprintf(stderr, "kernel matrix written to BENCH_micro.json\n");
   if (smoke && !gate_ok) {
     std::fprintf(stderr, "kernel matrix gate FAILED: %s\n", gate_log.c_str());
     return 1;
@@ -627,7 +544,7 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   // The kernel matrix runs after the registered benchmarks: it emits
-  // BENCH_micro.json and, under --smoke, enforces the SIMD/dispatch perf
-  // gates (nonzero exit on failure).
+  // BENCH_micro.json and, under --smoke, enforces the dispatch perf gate
+  // (nonzero exit on failure).
   return daf::bench::RunKernelMatrix(smoke);
 }

@@ -122,7 +122,6 @@ void Backtracker::FlushIntersectStats() {
   if (profile_ == nullptr) return;
   profile_->intersect_merge += intersect_stats_.merge;
   profile_->intersect_gallop += intersect_stats_.gallop;
-  profile_->intersect_simd += intersect_stats_.simd;
   profile_->intersect_bitmap += intersect_stats_.bitmap;
 }
 
@@ -309,7 +308,7 @@ void Backtracker::ComputeExtendableCandidates(VertexId u) {
   // Intersect the parents' CS adjacency lists (Definition 5.2). Lists are
   // sorted candidate indices into C(u); IntersectKWay orders them by size
   // and picks a kernel per pair — gallop when one side dwarfs the other
-  // (hub parents), SIMD/merge at comparable sizes, or one blocked-bitmap
+  // (hub parents), merge at comparable sizes, or one blocked-bitmap
   // pass over [0, |C(u)|) when the smallest list is dense in it.
   if (parents.size() == 1) {
     std::span<const uint32_t> first =

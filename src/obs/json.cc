@@ -155,7 +155,6 @@ void WriteBacktrackProfile(JsonWriter& w, const BacktrackProfile& bt) {
   w.Key("boost_skips").Uint(bt.boost_skips);
   w.Key("intersect_merge").Uint(bt.intersect_merge);
   w.Key("intersect_gallop").Uint(bt.intersect_gallop);
-  w.Key("intersect_simd").Uint(bt.intersect_simd);
   w.Key("intersect_bitmap").Uint(bt.intersect_bitmap);
   w.Key("peak_depth").Uint(bt.peak_depth);
   w.Key("depth_histogram").BeginArray();

@@ -17,7 +17,6 @@ void BacktrackProfile::MergeFrom(const BacktrackProfile& other) {
   boost_skips += other.boost_skips;
   intersect_merge += other.intersect_merge;
   intersect_gallop += other.intersect_gallop;
-  intersect_simd += other.intersect_simd;
   intersect_bitmap += other.intersect_bitmap;
   peak_depth = std::max(peak_depth, other.peak_depth);
   if (depth_histogram.size() < other.depth_histogram.size()) {

@@ -70,14 +70,16 @@ struct BacktrackProfile {
 
   /// Kernel-selection counters of the extendable-candidate intersections
   /// (util/intersect.h dispatch): how many intersections ran the scalar
-  /// merge, the galloping probe, an SSE/AVX2 shuffle kernel, or the
-  /// blocked-bitmap k-way pass. Their sum is the number of kernel
-  /// invocations, not of ComputeExtendableCandidates calls (a k-way fold
-  /// counts one kernel per pair).
+  /// merge, the galloping probe, or the blocked-bitmap k-way pass. Their
+  /// sum is the number of kernel invocations, not of
+  /// ComputeExtendableCandidates calls (a k-way fold counts one kernel per
+  /// pair).
   uint64_t intersect_merge = 0;
   uint64_t intersect_gallop = 0;
-  uint64_t intersect_simd = 0;
   uint64_t intersect_bitmap = 0;
+  /// Always 0: no vector kernel is left. Kept only because the end-to-end
+  /// benchmark's per-layer record still reads it.
+  uint64_t intersect_simd = 0;
 
   /// Deepest search-tree node examined (0 = only the root call ran).
   uint64_t peak_depth = 0;

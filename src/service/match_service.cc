@@ -42,7 +42,6 @@ MatchService::MatchService(Graph data, ServiceOptions options)
     QueryCacheOptions cache_options;
     cache_options.shards = options_.cache_shards;
     cache_options.max_resident_bytes = options_.cache_max_resident_bytes;
-    cache_options.canonical_max_leaves = options_.cache_canonical_max_leaves;
     cache_options.budget =
         options_.service_memory_limit_bytes != 0 ? &global_budget_ : nullptr;
     cache_ = std::make_unique<QueryCache>(cache_options);
@@ -83,18 +82,13 @@ JobHandle MatchService::Submit(QueryJob job) {
   state->priority = job.priority;
   state->query = std::move(job.query);
   state->options = std::move(job.options);
-  state->deadline_ms =
-      job.deadline_ms != 0 ? job.deadline_ms : options_.default_deadline_ms;
+  state->deadline_ms = job.deadline_ms;
   state->stream = job.stream_embeddings;
   state->memory_limit = job.max_memory_bytes != 0
                             ? job.max_memory_bytes
                             : options_.job_memory_limit_bytes;
   state->bypass_cache = job.bypass_cache;
-  if (job.limit != 0) {
-    state->options.limit = job.limit;
-  } else if (state->options.limit == 0) {
-    state->options.limit = options_.default_limit;
-  }
+  if (job.limit != 0) state->options.limit = job.limit;
 
   // The service owns the engine's side channels (results stream through
   // the handle, the profile is per job, cancellation goes through it too).
@@ -475,6 +469,9 @@ void MatchService::Publish() {
   dgraph_.Compact();
   published_.Store(std::make_shared<const Published>(
       Published{dgraph_.Materialize(), dgraph_.version()}));
+  // The version is part of every cache key, so no entry of the replaced
+  // version can be hit again; drop them instead of waiting for LRU.
+  if (cache_ != nullptr) cache_->Clear();
 }
 
 std::shared_ptr<const Graph> MatchService::Snapshot() const {

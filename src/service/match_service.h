@@ -32,12 +32,6 @@ struct ServiceOptions {
   /// Admission-queue bound shared across priority lanes; submissions beyond
   /// it are rejected (load shedding), never blocked.
   size_t queue_capacity = 256;
-  /// Default end-to-end deadline applied when a job does not set its own
-  /// (0 = none).
-  uint64_t default_deadline_ms = 0;
-  /// Default embedding limit applied when neither the job nor its
-  /// MatchOptions set one (0 = enumerate all).
-  uint64_t default_limit = 0;
   /// Collect a SearchProfile per job (readable via JobHandle::Profile).
   bool collect_profiles = true;
   /// Opt-in intra-query parallelism for latency-critical work: when > 1,
@@ -82,10 +76,6 @@ struct ServiceOptions {
   uint64_t cache_max_resident_bytes = 64ull << 20;
   /// Cache shards (lock-contention knob).
   uint32_t cache_shards = 8;
-  /// Leaf cap of the canonicalizer's individualization search. A query
-  /// whose canonization overruns it is served cold (uncacheable), never
-  /// incorrectly.
-  uint64_t cache_canonical_max_leaves = 65536;
 
   // --- Dynamic graph and standing queries (docs/DYNAMIC.md).
 

@@ -107,9 +107,8 @@ QueryCache::Lease QueryCache::Acquire(const Graph& query, const Graph& data,
   }
 
   Key key;
-  key.reserve(lease.form.key.size() + 3);
+  key.reserve(lease.form.key.size() + 2);
   key.push_back(OptionsFingerprint(options));
-  key.push_back(options_.graph_id);
   key.push_back(graph_id);
   key.insert(key.end(), lease.form.key.begin(), lease.form.key.end());
   Shard& shard = ShardFor(key);

@@ -36,10 +36,6 @@ struct QueryCacheOptions {
   /// Individualization-search leaf cap of the canonicalizer; queries whose
   /// canonization overruns it are treated as uncacheable.
   uint64_t canonical_max_leaves = 65536;
-  /// Fingerprint of the data graph (a version/generation id); part of every
-  /// key, so one cache instance can survive graph swaps without serving
-  /// stale candidate spaces.
-  uint64_t graph_id = 0;
 };
 
 /// Monotonic counters plus the current footprint of a QueryCache. The
@@ -116,11 +112,11 @@ class QueryCache {
   /// `options` supplies both the CS-shaping fingerprint and the build's
   /// stop sources (cancel, time_limit_ms, memory_budget) — a miss builds
   /// under the calling job's own deadline and budget, exactly like a cold
-  /// run. `graph_id` is the version of `data` at this call (on top of the
-  /// construction-time QueryCacheOptions::graph_id): it keys the lookup, so
-  /// blobs built against an older version of a mutating graph can never be
-  /// served after an update — they linger unreachable until LRU pressure
-  /// evicts them. Thread-safe; any number of workers may call concurrently.
+  /// run. `graph_id` is the version of `data` at this call: it keys the
+  /// lookup, so a blob built against an older version of a mutating graph
+  /// can never be served after an update, even one inserted after the
+  /// owner's Clear at that update. Thread-safe; any number of workers may
+  /// call concurrently.
   Lease Acquire(const Graph& query, const Graph& data,
                 const MatchOptions& options, uint64_t graph_id = 0);
 

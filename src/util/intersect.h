@@ -10,46 +10,36 @@
 
 namespace daf {
 
-/// Size ratio beyond which the dispatcher switches from an element-wise
-/// kernel to the galloping probe (one exponential+binary search per
-/// short-side element). Below it sequential access wins; above it the
-/// O(short * log(long)) probe does.
-inline constexpr size_t kGallopRatio = 32;
-
-/// Minimum short-side size before the SIMD block kernels are worth their
-/// setup (one full vector block plus the scalar tail).
-inline constexpr size_t kSimdMinSize = 16;
+/// Size ratio beyond which the dispatcher switches from the merge to the
+/// galloping probe (one exponential+binary search per short-side element).
+/// Below it sequential access wins; above it the O(short * log(long)) probe
+/// does. bench_micro's kernel matrix measures the crossover.
+inline constexpr size_t kGallopRatio = 16;
 
 /// The blocked-bitmap kernel activates when the smallest input covers at
 /// least 1/kBitmapDensityInv of the universe: at that density the
 /// word-parallel AND amortizes the two bitmap builds.
 inline constexpr size_t kBitmapDensityInv = 16;
 
-/// SIMD kernels store a full vector at a time and shrink afterwards, so an
-/// output buffer must have this many writable slots past min(na, nb).
-inline constexpr size_t kIntersectOutPad = 8;
-
 /// Per-thread kernel-selection counters, surfaced through
-/// obs::BacktrackProfile (merge/gallop/simd/bitmap hits per search).
+/// obs::BacktrackProfile (merge/gallop/bitmap hits per search).
 struct IntersectStats {
   uint64_t merge = 0;   // scalar merge scans
   uint64_t gallop = 0;  // galloping probes (skewed sizes)
-  uint64_t simd = 0;    // SSE/AVX2 shuffle kernel calls
   uint64_t bitmap = 0;  // blocked-bitmap k-way calls
 };
 
-/// CPU feature tier the dispatcher may use. Resolved once per process from
-/// cpuid, capped by the DAF_DISABLE_SIMD environment variable (any value
-/// other than empty or "0" forces kNone — the differential-testing switch).
+/// The host's x86 vector tier. No kernel dispatches on it; it only
+/// fingerprints the host in benchmark records.
 enum class SimdLevel : uint8_t { kNone, kSse, kAvx2 };
 
-/// The cached process-wide dispatch level (cpuid + env, computed once).
-SimdLevel DetectedSimdLevel();
-
-/// Re-reads the environment and cpuid on every call (tests flip
-/// DAF_DISABLE_SIMD and compare against this; the hot path uses the cached
-/// DetectedSimdLevel).
-SimdLevel ComputeSimdLevel();
+inline SimdLevel DetectedSimdLevel() {
+#if defined(__x86_64__) || defined(__i386__)
+  if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
+  if (__builtin_cpu_supports("ssse3")) return SimdLevel::kSse;
+#endif
+  return SimdLevel::kNone;
+}
 
 /// Index of the first element of sorted [first, first + n) that is >= key,
 /// or n when none is. Branchless: the loop body compiles to a conditional
@@ -121,24 +111,6 @@ inline size_t IntersectGallopKernel(const uint32_t* shorter, size_t ns,
   return count;
 }
 
-namespace intersect_internal {
-
-/// Vector kernels (util/intersect_simd.cc). Both compare 4- resp. 8-element
-/// blocks all-against-all via register rotations, compact the matches with
-/// a shuffle table, and finish with a scalar merge tail. Call only when the
-/// matching CpuSupports* returns true (they are compiled with per-function
-/// target attributes, so the containing binary needs no -msse/-mavx2); on
-/// non-x86 builds both degrade to the scalar merge. `out` needs capacity
-/// >= min(na, nb) + kIntersectOutPad (full-width stores past the live end).
-size_t IntersectSseKernel(const uint32_t* a, size_t na, const uint32_t* b,
-                          size_t nb, uint32_t* out);
-size_t IntersectAvx2Kernel(const uint32_t* a, size_t na, const uint32_t* b,
-                           size_t nb, uint32_t* out);
-bool CpuSupportsSse();   // SSSE3 (the 128-bit shuffle path)
-bool CpuSupportsAvx2();
-
-}  // namespace intersect_internal
-
 /// Reusable word buffers of the blocked-bitmap kernel (they keep their
 /// capacity across calls; a MatchContext owns one per worker).
 struct BitmapScratch {
@@ -186,12 +158,9 @@ inline size_t IntersectBitmapKernel(const uint32_t* const* lists,
   return count;
 }
 
-/// Two-way dispatch over the kernel family: gallop past kGallopRatio (the
-/// hub-parent regime), the best available SIMD kernel at comparable sizes
-/// (where galloping loses and the merge's per-element branches dominate),
-/// scalar merge otherwise. `out` needs capacity >= min(na, nb) +
-/// kIntersectOutPad and must not alias the inputs. `stats` (optional)
-/// counts which kernel ran.
+/// Two-way dispatch: gallop past kGallopRatio (the hub-parent regime),
+/// scalar merge otherwise. `out` needs capacity >= min(na, nb) and must not
+/// alias the inputs. `stats` (optional) counts which kernel ran.
 inline size_t IntersectDispatch(const uint32_t* a, size_t na,
                                 const uint32_t* b, size_t nb, uint32_t* out,
                                 IntersectStats* stats = nullptr) {
@@ -203,18 +172,6 @@ inline size_t IntersectDispatch(const uint32_t* a, size_t na,
   if (nb > na * kGallopRatio) {
     if (stats != nullptr) ++stats->gallop;
     return IntersectGallopKernel(a, na, b, nb, out);
-  }
-  if (std::min(na, nb) >= kSimdMinSize) {
-    switch (DetectedSimdLevel()) {
-      case SimdLevel::kAvx2:
-        if (stats != nullptr) ++stats->simd;
-        return intersect_internal::IntersectAvx2Kernel(a, na, b, nb, out);
-      case SimdLevel::kSse:
-        if (stats != nullptr) ++stats->simd;
-        return intersect_internal::IntersectSseKernel(a, na, b, nb, out);
-      case SimdLevel::kNone:
-        break;
-    }
   }
   if (stats != nullptr) ++stats->merge;
   return IntersectMergeKernel(a, na, b, nb, out);
@@ -234,7 +191,7 @@ inline void IntersectSorted(const uint32_t* a, size_t na, const uint32_t* b,
   }
   assert(out->data() != a && out->data() != b &&
          "IntersectSorted output must not alias an input");
-  out->resize(std::min(na, nb) + kIntersectOutPad);
+  out->resize(std::min(na, nb));
   out->resize(IntersectDispatch(a, na, b, nb, out->data(), stats));
 }
 
@@ -298,7 +255,7 @@ inline void IntersectKWay(const KWayList* lists, size_t k, uint32_t universe,
   size_t ncur = n_min;
   for (size_t i = 1; i < k; ++i) {
     std::vector<uint32_t>* dst = bufs[target];
-    dst->resize(std::min(ncur, order[i].size) + kIntersectOutPad);
+    dst->resize(std::min(ncur, order[i].size));
     ncur = IntersectDispatch(cur, ncur, order[i].data, order[i].size,
                              dst->data(), stats);
     dst->resize(ncur);

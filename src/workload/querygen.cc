@@ -9,7 +9,10 @@
 namespace daf::workload {
 
 std::string QuerySet::Name() const {
-  return "Q" + std::to_string(size) + (sparse ? "S" : "N");
+  std::string name = "Q";
+  name += std::to_string(size);
+  name += sparse ? 'S' : 'N';
+  return name;
 }
 
 QuerySet MakeQuerySet(const Graph& data, uint32_t size, bool sparse,

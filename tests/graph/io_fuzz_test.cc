@@ -161,7 +161,10 @@ TEST(IoFuzzTest, RandomTokenSoupNeverCrashes) {
         switch (rng.NextU64() % 4) {
           case 0: text += std::to_string(rng.NextU64() % 8); break;
           case 1: text += std::to_string(rng.NextU64()); break;
-          case 2: text += "-" + std::to_string(rng.NextU64() % 100); break;
+          case 2:
+            text += '-';
+            text += std::to_string(rng.NextU64() % 100);
+            break;
           default: text += "4000000000"; break;
         }
       }

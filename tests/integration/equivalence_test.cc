@@ -113,9 +113,13 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(2, 4, 8),    // labels
                        ::testing::Values(4, 6, 9)),   // query size
     [](const ::testing::TestParamInfo<std::tuple<int, int, int>>& info) {
-      return "d" + std::to_string(std::get<0>(info.param)) + "_l" +
-             std::to_string(std::get<1>(info.param)) + "_q" +
-             std::to_string(std::get<2>(info.param));
+      std::string name = "d";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_l";
+      name += std::to_string(std::get<1>(info.param));
+      name += "_q";
+      name += std::to_string(std::get<2>(info.param));
+      return name;
     });
 
 }  // namespace

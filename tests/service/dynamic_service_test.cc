@@ -231,13 +231,20 @@ TEST_F(DynamicServiceTest, QueryCacheCannotServeStaleGraph) {
   dyn::UpdateBatch batch;
   batch.InsertEdge(1, 3);
   ASSERT_TRUE(service.ApplyUpdates(batch).ok);
+  // The publish dropped the replaced version's blob: it could never be
+  // hit again, so it must not stay resident either.
+  const auto after_publish = service.Metrics();
+  EXPECT_EQ(after_publish.cache_entries, 0u);
+  EXPECT_EQ(after_publish.cache_resident_bytes, 0u);
   run(CacheOutcome::kMiss, 2);
   run(CacheOutcome::kHit, 2);
 
-  // Metrics agree: two misses, two hits, no stale serving path exists.
+  // Metrics agree: two misses, two hits, no stale serving path exists, and
+  // only the current version's blob is resident.
   const auto m = service.Metrics();
   EXPECT_EQ(m.cache_misses, 2u);
   EXPECT_EQ(m.cache_hits, 2u);
+  EXPECT_EQ(m.cache_entries, 1u);
 }
 
 TEST_F(DynamicServiceTest, OverflowDegradesToResync) {

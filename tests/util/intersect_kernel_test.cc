@@ -1,16 +1,13 @@
 // Randomized differential tests of the full intersection kernel matrix
-// (scalar merge, gallop, SSE, AVX2, blocked bitmap, k-way dispatch) against
-// a trivial std::set_intersection reference, over seeded input shapes:
-// empty, disjoint, identical, dense runs, ratio sweeps, and unaligned
-// lengths straddling the SIMD block widths. Every kernel must produce the
-// identical sorted result on every shape — including vector kernels forced
-// on directly (not through dispatch), so an AVX2 host exercises the real
-// SIMD code paths no matter what DAF_DISABLE_SIMD says.
+// (scalar merge, gallop, blocked bitmap, k-way dispatch) against a trivial
+// std::set_intersection reference, over seeded input shapes: empty,
+// disjoint, identical, dense runs, ratio sweeps, and short unaligned
+// lengths. Every kernel must produce the identical sorted result on every
+// shape, called directly as well as through dispatch.
 
 #include "util/intersect.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <random>
 #include <set>
 #include <vector>
@@ -19,11 +16,6 @@
 
 namespace daf {
 namespace {
-
-using intersect_internal::CpuSupportsAvx2;
-using intersect_internal::CpuSupportsSse;
-using intersect_internal::IntersectAvx2Kernel;
-using intersect_internal::IntersectSseKernel;
 
 constexpr uint32_t kPoison = 0xdeadbeefu;
 
@@ -52,16 +44,16 @@ std::vector<uint32_t> DenseRun(uint32_t start, size_t n) {
   return out;
 }
 
-// Runs one pointer kernel into a poisoned, padded buffer and returns the
-// written prefix. Also asserts the kernel respected the output bound.
+// Runs one pointer kernel into a poisoned buffer of exactly min(na, nb)
+// slots and returns the written prefix. Also asserts the kernel respected
+// the output bound.
 using KernelFn = size_t (*)(const uint32_t*, size_t, const uint32_t*, size_t,
                             uint32_t*);
 
 std::vector<uint32_t> RunKernel(KernelFn kernel,
                                 const std::vector<uint32_t>& a,
                                 const std::vector<uint32_t>& b) {
-  std::vector<uint32_t> out(std::min(a.size(), b.size()) + kIntersectOutPad,
-                            kPoison);
+  std::vector<uint32_t> out(std::min(a.size(), b.size()), kPoison);
   const size_t count =
       kernel(a.data(), a.size(), b.data(), b.size(), out.data());
   EXPECT_LE(count, std::min(a.size(), b.size()));
@@ -79,14 +71,6 @@ void CheckAllTwoWay(const std::vector<uint32_t>& a,
   const auto& shorter = a.size() <= b.size() ? a : b;
   const auto& longer = a.size() <= b.size() ? b : a;
   EXPECT_EQ(RunKernel(IntersectGallopKernel, shorter, longer), expected);
-  if (CpuSupportsSse()) {
-    EXPECT_EQ(RunKernel(IntersectSseKernel, a, b), expected);
-    EXPECT_EQ(RunKernel(IntersectSseKernel, b, a), expected);
-  }
-  if (CpuSupportsAvx2()) {
-    EXPECT_EQ(RunKernel(IntersectAvx2Kernel, a, b), expected);
-    EXPECT_EQ(RunKernel(IntersectAvx2Kernel, b, a), expected);
-  }
   if (universe > 0) {
     const uint32_t* lists[2] = {a.data(), b.data()};
     const size_t sizes[2] = {a.size(), b.size()};
@@ -117,9 +101,8 @@ TEST(IntersectKernelMatrixTest, EmptyDisjointIdentical) {
   CheckAllTwoWay(evens, odds, 160);  // fully disjoint ranges
 }
 
-// Unaligned lengths around the SSE (4), AVX2 (8) and dispatch-threshold
-// (16) block widths: the scalar tails and the last partial block are where
-// SIMD intersection bugs live.
+// Every short length pair up to 20 against lengths around 4, 8 and 16:
+// the empty and single-element edges and the ends of each scan.
 TEST(IntersectKernelMatrixTest, LengthSweepNearSimdWidths) {
   std::mt19937 rng(7);
   for (size_t na = 0; na <= 20; ++na) {
@@ -160,8 +143,8 @@ TEST(IntersectKernelMatrixTest, RandomizedShapes) {
 TEST(IntersectKernelMatrixTest, RatioSweepAndDenseRuns) {
   std::mt19937 rng(99);
   for (size_t small : {size_t{1}, size_t{2}, size_t{5}, size_t{16}}) {
-    for (size_t ratio : {size_t{8}, size_t{32}, size_t{33}, size_t{100},
-                         size_t{1000}}) {
+    for (size_t ratio : {size_t{8}, size_t{16}, size_t{17}, size_t{32},
+                         size_t{33}, size_t{100}, size_t{1000}}) {
       const size_t large = small * ratio;
       const uint32_t universe = static_cast<uint32_t>(large * 2 + 8);
       CheckAllTwoWay(RandomSortedUnique(rng, small, universe),
@@ -253,17 +236,12 @@ TEST(IntersectStatsTest, DispatchCountsKernelSelections) {
                   &stats);
   EXPECT_EQ(stats.gallop, 1u);
 
-  // Comparable sizes >= kSimdMinSize: SIMD when the CPU has it, else merge.
+  // Comparable sizes: the scalar merge.
   const auto a = RandomSortedUnique(rng, 64, 1000);
   const auto b = RandomSortedUnique(rng, 80, 1000);
   IntersectSorted(a.data(), a.size(), b.data(), b.size(), &out, &stats);
-  if (DetectedSimdLevel() != SimdLevel::kNone) {
-    EXPECT_EQ(stats.simd, 1u);
-    EXPECT_EQ(stats.merge, 0u);
-  } else {
-    EXPECT_EQ(stats.simd, 0u);
-    EXPECT_EQ(stats.merge, 1u);
-  }
+  EXPECT_EQ(stats.merge, 1u);
+  EXPECT_EQ(stats.gallop, 1u);
 
   // Tiny comparable sizes: always the scalar merge.
   const auto ta = RandomSortedUnique(rng, 5, 40);
@@ -271,33 +249,21 @@ TEST(IntersectStatsTest, DispatchCountsKernelSelections) {
   const uint64_t merge_before = stats.merge;
   IntersectSorted(ta.data(), ta.size(), tb.data(), tb.size(), &out, &stats);
   EXPECT_EQ(stats.merge, merge_before + 1);
-}
 
-TEST(SimdLevelTest, EnvDisableOverridesCpu) {
-  const char* saved = std::getenv("DAF_DISABLE_SIMD");
-  const std::string saved_value = saved != nullptr ? saved : "";
-
-  setenv("DAF_DISABLE_SIMD", "1", 1);
-  EXPECT_EQ(ComputeSimdLevel(), SimdLevel::kNone);
-  setenv("DAF_DISABLE_SIMD", "0", 1);
-  const SimdLevel enabled = ComputeSimdLevel();
-  unsetenv("DAF_DISABLE_SIMD");
-  EXPECT_EQ(ComputeSimdLevel(), enabled);
-
-  // The env-enabled level must reflect the CPU.
-  if (CpuSupportsAvx2()) {
-    EXPECT_EQ(enabled, SimdLevel::kAvx2);
-  } else if (CpuSupportsSse()) {
-    EXPECT_EQ(enabled, SimdLevel::kSse);
-  } else {
-    EXPECT_EQ(enabled, SimdLevel::kNone);
-  }
-
-  if (saved != nullptr) {
-    setenv("DAF_DISABLE_SIMD", saved_value.c_str(), 1);
-  } else {
-    unsetenv("DAF_DISABLE_SIMD");
-  }
+  // The boundary: a ratio of exactly kGallopRatio still merges, one more
+  // gallops (here with the longer list first).
+  const auto eight = RandomSortedUnique(rng, 8, 100000);
+  const auto at = RandomSortedUnique(rng, 8 * kGallopRatio, 100000);
+  const auto past = RandomSortedUnique(rng, 8 * (kGallopRatio + 1), 100000);
+  stats = {};
+  IntersectSorted(eight.data(), eight.size(), at.data(), at.size(), &out,
+                  &stats);
+  EXPECT_EQ(stats.merge, 1u);
+  EXPECT_EQ(stats.gallop, 0u);
+  IntersectSorted(past.data(), past.size(), eight.data(), eight.size(), &out,
+                  &stats);
+  EXPECT_EQ(stats.merge, 1u);
+  EXPECT_EQ(stats.gallop, 1u);
 }
 
 }  // namespace
