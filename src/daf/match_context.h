@@ -29,14 +29,6 @@ struct CsBuildScratch {
   std::vector<std::pair<Label, uint32_t>> nlf_profile;
   std::vector<Label> neighbor_labels;
   std::vector<Label> required_edge_label;
-  // Lazy per-data-vertex neighbor-label runs: (label, count) pairs, sorted
-  // by label, computed at a vertex's first NLF check of a build and reused
-  // by every later check (query vertices sharing a label re-check the same
-  // data vertices against different profiles).
-  std::vector<uint32_t> nlf_run_start;  // per data vertex; kNoRuns = unset
-  std::vector<uint32_t> nlf_run_len;
-  std::vector<Label> nlf_run_labels;
-  std::vector<uint32_t> nlf_run_counts;
 };
 
 /// One candidate class that failed under DAF-Boost: every class member is

@@ -2,8 +2,76 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
+#include <mutex>
+
+#include "graph/seed_bucket.h"
+#include "util/timer.h"
 
 namespace daf {
+
+// The lazily built seeding buckets of one graph. Every graph gets one, and
+// most (query graphs) never seed anything, so until the first request it
+// is a once-flag and a null pointer. The first request allocates the
+// per-label slots; the first request for a label builds its bucket, and
+// concurrent requests wait for that build.
+class SeedIndex {
+ public:
+  const SeedBucket& Bucket(const Graph& g, Label l, double* build_ms) {
+    std::call_once(slots_once_, [&] {
+      slots_ = std::make_unique<Slot[]>(g.NumLabels());
+    });
+    Slot& slot = slots_[l];
+    std::call_once(slot.once, [&] {
+      Stopwatch timer;
+      slot.bucket = SeedBucket::Build(g, l);
+      if (build_ms != nullptr) *build_ms += timer.ElapsedMs();
+    });
+    return slot.bucket;
+  }
+
+ private:
+  struct Slot {
+    std::once_flag once;
+    SeedBucket bucket;
+  };
+  std::once_flag slots_once_;
+  std::unique_ptr<Slot[]> slots_;
+};
+
+SeedBucket SeedBucket::Build(const Graph& g, Label l) {
+  SeedBucket b;
+  const std::span<const VertexId> vertices = g.VerticesWithLabel(l);
+  b.entries.reserve(vertices.size());
+  b.degrees_desc.reserve(vertices.size());
+  for (VertexId v : vertices) {
+    SeedEntry e{.id = v,
+                .degree = g.degree(v),
+                .max_neighbor_degree = g.MaxNeighborDegree(v),
+                .run_begin = static_cast<uint32_t>(b.runs.size()),
+                .signature = 0};
+    for (VertexId w : g.Neighbors(v)) {
+      const Label lw = g.label(w);
+      if (b.runs.size() > e.run_begin && b.runs.back().label == lw) {
+        ++b.runs.back().count;
+      } else {
+        b.runs.push_back({lw, 1});
+        e.signature |= uint64_t{1} << (lw & 63);
+      }
+    }
+    b.entries.push_back(e);
+    b.degrees_desc.push_back(e.degree);
+  }
+  b.runs.shrink_to_fit();
+  std::sort(b.degrees_desc.begin(), b.degrees_desc.end(),
+            std::greater<uint32_t>());
+  return b;
+}
+
+const SeedBucket& Graph::SeedBucketOf(Label l, double* build_ms) const {
+  assert(l < NumLabels());
+  return seed_index_->Bucket(*this, l, build_ms);
+}
 
 Graph Graph::FromEdges(std::vector<Label> labels,
                        const std::vector<Edge>& edges) {
@@ -144,6 +212,7 @@ void Graph::BuildDerivedIndexes() {
       vertices_by_label_[cursor[labels_[v]]++] = v;
     }
   }
+  seed_index_ = std::make_shared<SeedIndex>();
 }
 
 Graph::CsrParts Graph::ToCsrParts() const {

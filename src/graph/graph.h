@@ -2,6 +2,7 @@
 #define DAF_GRAPH_GRAPH_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -18,6 +19,9 @@ using Label = uint32_t;
 
 /// Sentinel for "no vertex".
 inline constexpr VertexId kInvalidVertex = static_cast<VertexId>(-1);
+
+struct SeedBucket;  // graph/seed_bucket.h
+class SeedIndex;    // private to graph.cc
 
 /// An undirected edge as a vertex pair (unordered; both orders accepted).
 using Edge = std::pair<VertexId, VertexId>;
@@ -36,8 +40,9 @@ using Edge = std::pair<VertexId, VertexId>;
 ///     evaluate neighborhood-label-frequency filters), and
 ///   * `HasEdge(u, v)` — binary search using the (label, id) key.
 ///
-/// Vertices are additionally indexed by label (`VerticesWithLabel`) to
-/// produce the initial candidate sets `C_ini(u)`.
+/// Vertices are additionally indexed by label (`VerticesWithLabel`), and
+/// the seeding index (`SeedBucketOf`) packs what the local filters of the
+/// initial candidate sets `C_ini(u)` read, one label bucket at a time.
 class Graph {
  public:
   Graph() = default;
@@ -186,6 +191,14 @@ class Graph {
   /// Number of vertices carrying label l.
   uint32_t LabelFrequency(Label l) const { return label_frequency_[l]; }
 
+  /// The seeding bucket of label l (l < NumLabels()): l's vertices with
+  /// their degree, MND and neighbor-label runs (graph/seed_bucket.h). Built
+  /// on the first request for l, at most once per graph even under
+  /// concurrent requests, and shared by every copy of this graph. When
+  /// `build_ms` is set, the time this call spent building is added to it
+  /// (nothing once the bucket is built).
+  const SeedBucket& SeedBucketOf(Label l, double* build_ms = nullptr) const;
+
   /// All edges as (u, v) pairs with u < v, in unspecified order.
   std::vector<Edge> EdgeList() const;
 
@@ -196,7 +209,8 @@ class Graph {
   int64_t FindNeighborIndex(VertexId u, VertexId v) const;
 
   /// Fills nontrivial_edge_labels_, max_neighbor_degree_, and the label
-  /// index from labels_/offsets_/adjacency_/edge_labels_.
+  /// index from labels_/offsets_/adjacency_/edge_labels_, and gives the
+  /// graph a fresh (empty) seeding index.
   void BuildDerivedIndexes();
 
   std::vector<Label> labels_;
@@ -209,6 +223,7 @@ class Graph {
   std::vector<uint64_t> label_offsets_;  // |Σ|+1
   std::vector<VertexId> vertices_by_label_;
   std::vector<uint32_t> label_frequency_;
+  std::shared_ptr<SeedIndex> seed_index_;
 };
 
 }  // namespace daf

@@ -175,6 +175,7 @@ void WriteCsProfile(JsonWriter& w, const CsProfile& cs) {
   w.Key("seed_ms").Double(cs.seed_ms);
   w.Key("refine_ms").Double(cs.refine_ms);
   w.Key("edges_ms").Double(cs.edges_ms);
+  w.Key("index_build_ms").Double(cs.index_build_ms);
   w.Key("passes").BeginArray();
   for (const CsPassStats& p : cs.passes) {
     w.BeginObject();

@@ -47,6 +47,11 @@ struct CsProfile {
   double seed_ms = 0;    // initial candidate sets + local filters
   double refine_ms = 0;  // all DP passes
   double edges_ms = 0;   // edge materialization
+  // Time spent building the data graph's seeding-index buckets for this
+  // query (Graph::SeedBucketOf), 0 once they are warm. BuildDAG's root
+  // choice reads the buckets first, so DafMatch adds its share to the CS
+  // build's own: an attribution inside dag_build_ms + seed_ms, not a stage.
+  double index_build_ms = 0;
 
   void Reset() { *this = CsProfile{}; }
 };

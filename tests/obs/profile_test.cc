@@ -162,6 +162,34 @@ TEST(SearchProfileTest, CsProfileAccountingIsConsistent) {
   EXPECT_EQ(cs.initial_candidates - removed_total, cs.final_candidates);
 }
 
+TEST(SearchProfileTest, IndexBuildTimeIsChargedOnlyToTheFirstRun) {
+  Instance inst = MakeInstance(15);
+  MatchOptions options;
+  obs::SearchProfile first;
+  options.profile = &first;
+  ASSERT_TRUE(DafMatch(inst.query, inst.data, options).ok);
+  EXPECT_GT(first.cs.index_build_ms, 0.0);
+  obs::SearchProfile second;
+  options.profile = &second;
+  ASSERT_TRUE(DafMatch(inst.query, inst.data, options).ok);
+  EXPECT_EQ(second.cs.index_build_ms, 0.0);
+  // A copy shares the built buckets; a rebuilt graph starts empty.
+  const Graph copy = inst.data;
+  ASSERT_TRUE(DafMatch(inst.query, copy, options).ok);
+  EXPECT_EQ(second.cs.index_build_ms, 0.0);
+  const Graph rebuilt = Graph::FromEdges(
+      [&] {
+        std::vector<Label> labels;
+        for (VertexId v = 0; v < inst.data.NumVertices(); ++v) {
+          labels.push_back(inst.data.original_label(inst.data.label(v)));
+        }
+        return labels;
+      }(),
+      inst.data.EdgeList());
+  ASSERT_TRUE(DafMatch(inst.query, rebuilt, options).ok);
+  EXPECT_GT(second.cs.index_build_ms, 0.0);
+}
+
 TEST(SearchProfileTest, DisabledProfileYieldsIdenticalResults) {
   Rng rng(77);
   for (int trial = 0; trial < 10; ++trial) {
